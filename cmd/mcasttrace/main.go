@@ -29,7 +29,7 @@ func main() {
 	cfg.Trace = rec
 	cfg.LossRate = *loss
 	cfg.Seed = *seed
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(1)
 	tr := cfg.OptimalTree(0, c.Members(), *size)
 	c.InstallGroup(5, tr, 1, 1)

@@ -11,7 +11,10 @@ import (
 	"fmt"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -25,10 +28,8 @@ const (
 )
 
 func main() {
-	cfg := cluster.DefaultConfig(nodes)
-	cfg.LossRate = lossRate
-	cfg.Seed = 2026
-	c := cluster.NewFromConfig(cfg)
+	reg := metrics.New()
+	c := cluster.New(nodes, cluster.WithLossRate(lossRate), cluster.WithSeed(2026), cluster.WithMetrics(reg))
 	ports := c.OpenPorts(port)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(group, tr, port, port)
@@ -70,15 +71,12 @@ func main() {
 	c.Eng.Run()
 	c.Eng.Kill()
 
-	st := c.Net.Stats()
-	var retrans, dups uint64
-	for _, n := range c.Nodes {
-		retrans += n.Ext.Stats().Retransmits
-		dups += n.Ext.Stats().Duplicates
-	}
+	snap := reg.Snapshot()
+	net := func(name string) uint64 { return snap.Counter(fabric.Component, metrics.NodeFabric, name) }
 	fmt.Printf("fabric: %d packets injected, %d delivered, %d lost\n",
-		st.Injected, st.Delivered, st.Dropped)
-	fmt.Printf("recovery: %d per-child retransmissions, %d duplicates suppressed\n", retrans, dups)
+		net("injected"), net("delivered"), net("dropped"))
+	fmt.Printf("recovery: %d per-child retransmissions, %d duplicates suppressed\n",
+		snap.CounterSum(core.Component, "retransmits"), snap.CounterSum(core.Component, "duplicates"))
 	fmt.Printf("delivered %d/%d messages, %d corrupted\n",
 		delivered, messages*(nodes-1), corrupted)
 	if corrupted == 0 && delivered == messages*(nodes-1) {

@@ -46,7 +46,8 @@ type Config struct {
 	// Shards runs each scenario's clusters on a conservative parallel
 	// engine (0 or 1 = serial). Only stateless fault rules — unconditional
 	// drop windows, every-packet reordering, NIC pauses — are compatible;
-	// a stochastic scenario panics with ErrShardsStateful at install time.
+	// a stochastic scenario panics with fabric.ErrShardsStateful at
+	// install time.
 	Shards int
 
 	// Fabric selects the interconnect backend the campaign runs over (the
@@ -275,7 +276,7 @@ func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) outcome 
 	ccfg.GM.EnableNacks = sc.Nacks
 	ccfg.GM.AdaptiveRTO = sc.Adaptive
 	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
-	c := cluster.NewFromConfig(ccfg)
+	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
 	ports := c.OpenPorts(Port)
 	tr := tree.KAry(0, c.Members(), cfg.Fanout)
 	c.InstallGroup(Group, tr, Port, Port)

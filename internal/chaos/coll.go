@@ -310,7 +310,7 @@ func collRunOnce(sc CollScenario, cfg CollConfig, faulted bool, cleanSpan sim.Ti
 	ccfg.Metrics = reg
 	ccfg.Shards = cfg.Shards
 	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
-	c := cluster.NewFromConfig(ccfg)
+	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
 	ports := c.OpenPorts(CollPort)
 
 	// Both groups need the multicast tree (reduce/allgather neighborhoods

@@ -252,7 +252,7 @@ func memberRunOnce(sc MemberScenario, cfg MemberConfig, faulted bool) memberOutc
 	ccfg.Shards = cfg.Shards
 	ccfg.GM.EnableNacks = sc.Nacks
 	ccfg.GM.AdaptiveRTO = sc.Adaptive
-	c := cluster.NewFromConfig(ccfg)
+	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
 
 	// The plan derives from the seed alone, so baseline and faulted runs
 	// churn identically and differ only in what the fabric does to them.

@@ -100,7 +100,6 @@ func NewToR(eng *sim.Engine, hosts int, params fabric.LinkParams) *fabric.Networ
 		n.AddHost(fabric.NodeID(i), tor)
 	}
 	n.UseBFSRoute()
-	n.SetMetrics(nil)
 	return n
 }
 
@@ -160,7 +159,6 @@ func NewLeafSpine(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 		s := int(ecmp(src, dst, 0) % uint64(spines))
 		return []*fabric.Link{hostUp[src], up[sl][s], down[s][dl], hostDown[dst]}
 	})
-	n.SetMetrics(nil)
 	return n
 }
 
@@ -270,7 +268,6 @@ func NewThreeTier(eng *sim.Engine, hosts, ports int, params fabric.LinkParams) *
 			hostDown[dst],
 		}
 	})
-	n.SetMetrics(nil)
 	return n
 }
 

@@ -49,11 +49,10 @@ type Config struct {
 	// rendered as a packet timeline.
 	Trace *trace.Recorder
 
-	// Metrics, when non-nil, is wired through every layer (fabric, NIC
-	// hardware, GM firmware, multicast extension). Leave nil for the
-	// legacy behaviour (per-NIC private registries backing the deprecated
-	// Stats accessors); set metrics.Disabled() for true no-op
-	// instruments.
+	// Metrics, when non-nil, is the one registry wired through every layer
+	// of every node (fabric, NIC hardware, GM firmware, multicast
+	// extension, collective engine). Nil means no instruments at all:
+	// every counter update is a no-op.
 	Metrics *metrics.Registry
 
 	// Shards partitions the fabric over this many engines for conservative
@@ -61,8 +60,8 @@ type Config struct {
 	// is clamped to the node count). Sharded output is byte-identical to
 	// serial for the same seed. Sharding is incompatible with stochastic
 	// loss and tracing, whose shared state would make cross-shard order
-	// observable — build panics with ErrShardsWithLossRate /
-	// ErrShardsWithTrace.
+	// observable — build panics with fabric.ErrShardsWithLossRate /
+	// fabric.ErrShardsWithTrace.
 	Shards int
 
 	// PartitionObjective selects what the fabric partitioner optimizes when
@@ -134,17 +133,6 @@ type Cluster struct {
 	prevWait      []int64
 }
 
-// Sentinel errors for configurations sharding cannot honor; build panics
-// with values satisfying errors.Is against these.
-//
-// Deprecated: these are aliases of the fabric package's sentinels (the
-// incompatibility is a property of the sharded fabric, not of this
-// assembly layer); errors.Is works against either name.
-var (
-	ErrShardsWithLossRate = fabric.ErrShardsWithLossRate
-	ErrShardsWithTrace    = fabric.ErrShardsWithTrace
-)
-
 // New builds a cluster of n nodes: engine, fabric (single crossbar up to
 // 16 nodes, a Clos of 16-port crossbars beyond — the testbed's default
 // topology), and one full node per host, with the multicast extension
@@ -158,21 +146,6 @@ func New(n int, opts ...Option) *Cluster {
 	}
 	cfg.Nodes = n // the positional node count always wins
 	return build(cfg)
-}
-
-// NewFromConfig builds a cluster from a fully-specified configuration.
-//
-// Deprecated: use New with WithConfig (or finer-grained options).
-func NewFromConfig(cfg *Config) *Cluster { return build(cfg) }
-
-// NewPlain builds a cluster without the multicast extension — the stock-GM
-// baseline used to verify the extension has no impact on unicast traffic.
-//
-// Deprecated: use New with WithoutExtension (plus WithConfig if needed).
-func NewPlain(cfg *Config) *Cluster {
-	c := *cfg
-	c.noExt = true
-	return build(&c)
 }
 
 // build assembles the cluster described by cfg, wiring the metrics
@@ -190,10 +163,10 @@ func build(cfg *Config) *Cluster {
 	}
 	if shards > 1 {
 		if cfg.LossRate > 0 {
-			panic(ErrShardsWithLossRate)
+			panic(fabric.ErrShardsWithLossRate)
 		}
 		if cfg.Trace != nil {
-			panic(ErrShardsWithTrace)
+			panic(fabric.ErrShardsWithTrace)
 		}
 	}
 	engines := make([]*sim.Engine, shards)
@@ -239,7 +212,7 @@ func build(cfg *Config) *Cluster {
 			nic.Trace = cfg.Trace
 			node = &Node{ID: id, HW: hw, NIC: nic}
 			if !cfg.noExt {
-				node.Ext = core.InstallWithConfig(nic, cfg.Mcast)
+				node.Ext = core.Install(nic, core.WithConfig(cfg.Mcast))
 				node.Coll = coll.Install(node.Ext, coll.FromCore(cfg.Mcast))
 			}
 		})
@@ -363,7 +336,7 @@ func (c *Cluster) EventsFired() uint64 {
 // checks already exclude.
 func (c *Cluster) foldShardMetrics() {
 	reg := c.Cfg.Metrics
-	if c.sh == nil || !reg.Enabled() {
+	if c.sh == nil || reg == nil {
 		return
 	}
 	st := c.sh.Stats()

@@ -12,16 +12,16 @@ import (
 )
 
 // runTraced drives one multicast workload (with retransmission pressure
-// from a lossy fabric) and returns the full packet timeline. The metrics
-// option is the only thing varied between runs.
-func runTraced(t *testing.T, opt cluster.Option) []byte {
+// from a lossy fabric) and returns the full packet timeline plus the
+// cluster. The metrics options are the only thing varied between runs.
+func runTraced(t *testing.T, opts ...cluster.Option) ([]byte, *cluster.Cluster) {
 	t.Helper()
 	tr := trace.NewRecorder()
-	c := cluster.New(8, opt,
+	c := cluster.New(8, append(opts,
 		cluster.WithTrace(tr),
 		cluster.WithSeed(7),
 		cluster.WithLossRate(0.02),
-	)
+	)...)
 	ports := c.OpenPorts(1)
 	ready := c.InstallGroup(7, tree.Binomial(0, c.Members()), 1, 1)
 	c.Eng.Spawn("root", func(p *sim.Proc) {
@@ -50,23 +50,25 @@ func runTraced(t *testing.T, opt cluster.Option) []byte {
 	}
 	var buf bytes.Buffer
 	tr.WriteTimeline(&buf)
-	return buf.Bytes()
+	return buf.Bytes(), c
 }
 
 // TestMetricsDoNotPerturbSimulation proves the observability layer is pure
 // measurement: the packet-level timeline of a lossy multicast run is
-// byte-identical whether metrics are fully enabled or compiled down to
-// no-ops. Instrument updates never touch the engine, so any divergence
-// here is a bug in the metrics threading.
+// byte-identical whether metrics are enabled or off. Off means no registry
+// at all — a cluster built without WithMetrics must not build instruments
+// behind the caller's back. Instrument updates never touch the engine, so
+// any divergence here is a bug in the metrics threading.
 func TestMetricsDoNotPerturbSimulation(t *testing.T) {
-	on := runTraced(t, cluster.WithMetrics(metrics.New()))
-	off := runTraced(t, cluster.WithoutMetrics())
-	legacy := runTraced(t, cluster.WithMutate(func(cfg *cluster.Config) { cfg.Metrics = nil }))
+	on, _ := runTraced(t, cluster.WithMetrics(metrics.New()))
+	off, c := runTraced(t)
 
-	if !bytes.Equal(on, off) {
-		t.Errorf("timeline with metrics enabled differs from disabled (%d vs %d bytes)", len(on), len(off))
+	for _, n := range c.Nodes {
+		if reg := n.HW.Registry(); reg != nil {
+			t.Fatalf("node %d has a registry although none was wired", n.ID)
+		}
 	}
-	if !bytes.Equal(on, legacy) {
-		t.Errorf("timeline with metrics enabled differs from legacy private registries (%d vs %d bytes)", len(on), len(legacy))
+	if !bytes.Equal(on, off) {
+		t.Errorf("timeline with metrics enabled differs from metrics off (%d vs %d bytes)", len(on), len(off))
 	}
 }

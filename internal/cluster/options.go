@@ -50,13 +50,6 @@ func WithMetrics(reg *metrics.Registry) Option {
 	return func(c *Config) { c.Metrics = reg }
 }
 
-// WithoutMetrics wires a disabled registry through the stack: every
-// instrument is a true no-op and the legacy Stats accessors read zero.
-// Benchmarks use it to pin down the cost of the instrumentation itself.
-func WithoutMetrics() Option {
-	return func(c *Config) { c.Metrics = metrics.Disabled() }
-}
-
 // WithShards partitions the cluster over n engines for conservative
 // parallel execution. Output is byte-identical to the serial engine for
 // the same seed; n is clamped to the node count, and n <= 1 selects the

@@ -28,25 +28,26 @@ package coll
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"sort"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
-// Op aliases the NIC-computable reduction operator defined in core (the
-// Collective interface names it, so it cannot live here).
-type Op = core.ReduceOp
-
-const (
-	OpSum = core.OpSum
-	OpMin = core.OpMin
-	OpMax = core.OpMax
+// Sentinel errors for collective misuse; like core's, they surface as
+// panics carrying error values (test them with errors.Is).
+var (
+	// ErrBadReduce reports a malformed reduction: unknown operator,
+	// oversized vector, or operator/length mismatch across contributions.
+	ErrBadReduce = errors.New("coll: malformed reduction")
+	// ErrNoCollective reports FromExt on an extension with no collective
+	// engine wired.
+	ErrNoCollective = errors.New("coll: NIC has no collective engine")
 )
 
 // BarrierAlgo selects a group's barrier algorithm.
@@ -123,7 +124,7 @@ func Install(ext *core.Ext, cfg Config) *Engine {
 		cfg:    cfg,
 		groups: make(map[gm.GroupID]*Group),
 	}
-	e.initMetrics(metrics.Ensure(e.nic.HW.Registry()))
+	e.initMetrics(e.nic.HW.Registry())
 	ext.SetCollective(e)
 	return e
 }
@@ -132,7 +133,7 @@ func Install(ext *core.Ext, cfg Config) *Engine {
 func FromExt(ext *core.Ext) *Engine {
 	e, ok := ext.CollectiveEngine().(*Engine)
 	if !ok {
-		panic(fmt.Errorf("%w: NIC %v", core.ErrNoCollective, ext.NIC().ID()))
+		panic(fmt.Errorf("%w: NIC %v", ErrNoCollective, ext.NIC().ID()))
 	}
 	return e
 }
@@ -310,12 +311,6 @@ func (e *Engine) Remove(id gm.GroupID, fn func()) {
 			}
 		})
 	})
-}
-
-// InstallBarrier implements core.Collective; it is Install with the
-// default algorithm selection, preserving the pre-coll API surface.
-func (e *Engine) InstallBarrier(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func()) {
-	e.Install(id, members, port, fn)
 }
 
 // groupFor returns the group entry, auto-creating a memberless mirror

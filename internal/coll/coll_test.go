@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/coll"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -14,14 +15,16 @@ const collGID gm.GroupID = 77
 
 // rig builds a cluster with both group tables installed — the multicast
 // tree (reduce/allreduce/tree-allgather neighborhoods and downward
-// multicasts) and the collective entry — on one dedicated port.
+// multicasts) and the collective entry — on one dedicated port — with a
+// metrics registry wired.
 func rig(t *testing.T, nodes int, mut func(*cluster.Config), opts ...coll.Option) (*cluster.Cluster, []*gm.Port) {
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
+	cfg.Metrics = metrics.New()
 	if mut != nil {
 		mut(cfg)
 	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(7)
 	c.InstallGroup(collGID, tree.Binomial(0, c.Members()), 7, 7)
 	ready := c.InstallCollGroup(collGID, c.Members(), 7, opts...)
@@ -94,11 +97,7 @@ func TestBarrierAlgos(t *testing.T) {
 					}
 				}
 			}
-			var sent uint64
-			for _, n := range c.Nodes {
-				sent += n.Ext.Stats().BarrierSent
-			}
-			if sent == 0 {
+			if c.Registry().Snapshot().CounterSum(coll.Component, "barrier_sent") == 0 {
 				t.Error("no barrier traffic recorded")
 			}
 		})
@@ -135,11 +134,7 @@ func TestBarrierUnderLoss(t *testing.T) {
 					t.Errorf("node %d completed %d/%d lossy barriers", i, got, rounds)
 				}
 			}
-			var retrans uint64
-			for _, n := range c.Nodes {
-				retrans += n.Ext.Stats().Retransmits
-			}
-			if retrans == 0 {
+			if c.Registry().Snapshot().CounterSum(coll.Component, "retransmits") == 0 {
 				t.Error("lossy run recorded no retransmissions — loss not exercised")
 			}
 		})

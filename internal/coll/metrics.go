@@ -1,16 +1,13 @@
 package coll
 
-import (
-	"repro/internal/core"
-	"repro/internal/metrics"
-)
+import "repro/internal/metrics"
 
 // Component is the metrics component name for the collective engine.
 const Component = "coll"
 
 // instruments are the collective counters and distributions for one NIC,
 // cached so the firmware hot path does no registry lookups (nil fields are
-// no-ops under a disabled registry).
+// no-ops when no registry is wired).
 type instruments struct {
 	barrierSent    *metrics.Counter // barrier round/up/down messages transmitted
 	barrierRounds  *metrics.Counter // dissemination rounds entered
@@ -47,20 +44,5 @@ func (e *Engine) initMetrics(reg *metrics.Registry) {
 		notMemberDrops: reg.Counter(Component, id, "not_member_drops"),
 		bytesForwarded: reg.Counter(Component, id, "bytes_forwarded"),
 		combineNs:      reg.Histogram(Component, id, "combine_ns"),
-	}
-}
-
-// CollStats snapshots the engine's counters for core's legacy Stats merge.
-func (e *Engine) CollStats() core.CollStats {
-	return core.CollStats{
-		BarrierSent:    e.m.barrierSent.Value(),
-		BarriersDone:   e.m.barriersDone.Value(),
-		ReduceSent:     e.m.reduceSent.Value(),
-		ReduceCombines: e.m.reduceCombines.Value(),
-		GatherSent:     e.m.gatherSent.Value() + e.m.ringSent.Value(),
-		GathersDone:    e.m.gathersDone.Value(),
-		Retransmits:    e.m.retransmits.Value(),
-		Duplicates:     e.m.duplicates.Value(),
-		NotMemberDrops: e.m.notMemberDrops.Value(),
 	}
 }

@@ -13,6 +13,39 @@ import (
 // contribution — paying the slow LANai's per-element arithmetic cost —
 // and forwards one combined vector to its parent. The root's host
 // receives the result; Allreduce then multicasts it back down.
+//
+// Vectors are int64s: the LANai has no floating-point unit, which is
+// exactly the trade-off the companion reduction paper ("NIC-Based
+// Reduction in Myrinet Clusters: Is It Beneficial?") investigates.
+
+// Op is a NIC-computable combining operation.
+type Op uint8
+
+const (
+	OpSum Op = iota + 1
+	OpMin
+	OpMax
+)
+
+// Apply combines two elements under the operator.
+func (op Op) Apply(a, b int64) int64 {
+	switch op {
+	case OpSum:
+		return a + b
+	case OpMin:
+		if b < a {
+			return b
+		}
+		return a
+	case OpMax:
+		if b > a {
+			return b
+		}
+		return a
+	default:
+		panic(fmt.Errorf("%w: unknown op %d", ErrBadReduce, op))
+	}
+}
 
 // reduceInst accumulates one reduction instance at one NIC.
 type reduceInst struct {
@@ -51,7 +84,7 @@ func (e *Engine) PostReduce(proc *sim.Proc, port *gm.Port, id gm.GroupID, vec []
 		panic(fmt.Errorf("%w: Reduce", core.ErrWrongNIC))
 	}
 	if len(vec)*8 > e.nic.Cfg.MTU {
-		panic(fmt.Errorf("%w: vector of %d elements exceeds one packet", core.ErrBadReduce, len(vec)))
+		panic(fmt.Errorf("%w: vector of %d elements exceeds one packet", ErrBadReduce, len(vec)))
 	}
 	proc.Compute(e.nic.Cfg.HostSendPost)
 	nic := e.nic
@@ -94,7 +127,7 @@ func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
 		g.red[seq] = st
 	}
 	if st.op != op {
-		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", core.ErrBadReduce, g.id, seq))
+		panic(fmt.Errorf("%w: op mismatch on group %d instance %d", ErrBadReduce, g.id, seq))
 	}
 	if fromChild >= 0 && st.from.setBit(fromChild) {
 		e.m.duplicates.Inc()
@@ -106,7 +139,7 @@ func (g *Group) contribute(seq uint32, op Op, vec []int64, fromChild int) {
 			st.acc = append([]int64(nil), vec...)
 		} else {
 			if len(vec) != len(st.acc) {
-				panic(fmt.Errorf("%w: length mismatch on group %d", core.ErrBadReduce, g.id))
+				panic(fmt.Errorf("%w: length mismatch on group %d", ErrBadReduce, g.id))
 			}
 			for i := range st.acc {
 				st.acc[i] = op.Apply(st.acc[i], vec[i])

@@ -16,7 +16,7 @@ func ablationRun(t *testing.T, mut func(*core.Config), size, nodes int) (sim.Tim
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
 	mut(&cfg.Mcast)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(11, tr, testPort, testPort)
@@ -97,7 +97,7 @@ func TestAblationHoldBufferThrottlesStreaming(t *testing.T) {
 		cfg := cluster.DefaultConfig(4)
 		cfg.NIC.RecvBuffers = 2
 		cfg.Mcast.Retransmit = mode
-		c := cluster.NewFromConfig(cfg)
+		c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 		ports := c.OpenPorts(testPort)
 		tr := tree.Chain(0, c.Members())
 		c.InstallGroup(12, tr, testPort, testPort)
@@ -141,7 +141,7 @@ func TestAblationModeTokensUnderLoss(t *testing.T) {
 	cfg.Mcast.Multisend = core.ModeTokens
 	cfg.LossRate = 0.04
 	cfg.Seed = 11
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Flat(0, c.Members())
 	c.InstallGroup(13, tr, testPort, testPort)

@@ -6,8 +6,10 @@ import (
 	"testing/quick"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -26,10 +28,11 @@ type rig struct {
 func newRig(t *testing.T, nodes int, build func(root fabric.NodeID, members []fabric.NodeID) *tree.Tree, mut func(*cluster.Config)) *rig {
 	t.Helper()
 	cfg := cluster.DefaultConfig(nodes)
+	cfg.Metrics = metrics.New()
 	if mut != nil {
 		mut(cfg)
 	}
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	r := &rig{c: c, ports: c.OpenPorts(testPort), gid: 7}
 	r.tr = build(0, c.Members())
 	ready := c.InstallGroup(r.gid, r.tr, testPort, testPort)
@@ -42,6 +45,16 @@ func newRig(t *testing.T, nodes int, build func(root fabric.NodeID, members []fa
 		t.Fatal("group install incomplete after quiescence")
 	}
 	return r
+}
+
+// count reads one node's multicast-extension counter.
+func (r *rig) count(node int, name string) uint64 {
+	return r.c.Registry().Snapshot().Counter(core.Component, node, name)
+}
+
+// sum totals one multicast-extension counter over every node.
+func (r *rig) sum(name string) uint64 {
+	return r.c.Registry().Snapshot().CounterSum(core.Component, name)
 }
 
 func (r *rig) run(t *testing.T) {
@@ -96,12 +109,10 @@ func TestMultisendFlatDeliversToAll(t *testing.T) {
 		}
 	}
 	// Flat tree: no forwarding anywhere.
-	for _, n := range r.c.Nodes {
-		if n.Ext.Stats().McastForwarded != 0 {
-			t.Fatalf("flat multisend forwarded packets at %v", n.ID)
-		}
+	if fwd := r.sum("mcast_forwarded"); fwd != 0 {
+		t.Fatalf("flat multisend forwarded %d packets", fwd)
 	}
-	if sent := r.c.Nodes[0].Ext.Stats().McastSent; sent != 8 {
+	if sent := r.count(0, "mcast_sent"); sent != 8 {
 		t.Fatalf("root sent %d replicas, want 8", sent)
 	}
 }
@@ -122,11 +133,7 @@ func TestMulticastBinomialForwarding(t *testing.T) {
 			t.Fatalf("node %v corrupted", n)
 		}
 	}
-	forwarded := uint64(0)
-	for _, n := range r.c.Nodes {
-		forwarded += n.Ext.Stats().McastForwarded
-	}
-	if forwarded == 0 {
+	if r.sum("mcast_forwarded") == 0 {
 		t.Fatal("binomial multicast never used NIC-based forwarding")
 	}
 	// Completion implies every record retired everywhere.
@@ -203,7 +210,6 @@ func TestMulticastUnderRandomLoss(t *testing.T) {
 	if len(*got) != 11 {
 		t.Fatalf("delivered to %d nodes, want 11", len(*got))
 	}
-	retrans := uint64(0)
 	for n, g := range *got {
 		if len(g) != count {
 			t.Fatalf("node %v got %d messages under loss, want %d", n, len(g), count)
@@ -214,10 +220,7 @@ func TestMulticastUnderRandomLoss(t *testing.T) {
 			}
 		}
 	}
-	for _, n := range r.c.Nodes {
-		retrans += n.Ext.Stats().Retransmits
-	}
-	if retrans == 0 {
+	if r.sum("retransmits") == 0 {
 		t.Fatal("3% loss over 12 nodes produced zero retransmissions — loss not exercised")
 	}
 }
@@ -243,13 +246,12 @@ func TestRetransmitOnlyToUnackedChildren(t *testing.T) {
 	if len(*got) != 3 {
 		t.Fatalf("delivered to %d nodes, want 3", len(*got))
 	}
-	st := r.c.Nodes[0].Ext.Stats()
-	if st.Retransmits != 1 {
-		t.Fatalf("root retransmitted %d packets, want exactly 1 (only the unacked child)", st.Retransmits)
+	if rt := r.count(0, "retransmits"); rt != 1 {
+		t.Fatalf("root retransmitted %d packets, want exactly 1 (only the unacked child)", rt)
 	}
 	// 3 first transmissions + 1 retransmission.
-	if st.McastSent != 4 {
-		t.Fatalf("root sent %d replicas, want 4", st.McastSent)
+	if sent := r.count(0, "mcast_sent"); sent != 4 {
+		t.Fatalf("root sent %d replicas, want 4", sent)
 	}
 }
 
@@ -277,7 +279,7 @@ func TestLateReceiveTokenStallsOnlySubtree(t *testing.T) {
 	if at1 < 3*sim.Millisecond || at2 == 0 {
 		t.Fatalf("deliveries at %v and %v; recovery after late token failed", at1, at2)
 	}
-	if r.c.Nodes[1].Ext.Stats().NoTokenDrops == 0 {
+	if r.count(1, "no_token_drops") == 0 {
 		t.Fatal("expected tokenless drops at the intermediate node")
 	}
 }
@@ -319,13 +321,11 @@ func TestUnicastUnaffectedByExtension(t *testing.T) {
 	// Identical unicast workload on a plain cluster and on one with the
 	// multicast extension installed: completion times must match exactly.
 	run := func(plain bool) sim.Time {
-		cfg := cluster.DefaultConfig(2)
-		var c *cluster.Cluster
+		var opts []cluster.Option
 		if plain {
-			c = cluster.NewPlain(cfg)
-		} else {
-			c = cluster.NewFromConfig(cfg)
+			opts = append(opts, cluster.WithoutExtension())
 		}
+		c := cluster.New(2, opts...)
 		ports := c.OpenPorts(testPort)
 		c.Eng.Spawn("recv", func(p *sim.Proc) {
 			ports[1].ProvideN(5, 8192)
@@ -355,7 +355,7 @@ func TestConcurrentBroadcastsNoDeadlock(t *testing.T) {
 	cfg := cluster.DefaultConfig(nodes)
 	cfg.NIC.SendBuffers = 2
 	cfg.NIC.RecvBuffers = 2
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	roots := []fabric.NodeID{0, 3, 5}
 	for i, root := range roots {
@@ -417,8 +417,7 @@ func TestMcastValidation(t *testing.T) {
 func TestNonMemberDropsMcast(t *testing.T) {
 	// A group over nodes {0,1,2} of a 4-node cluster: node 3 must never
 	// see a delivery, and stray packets to it are counted.
-	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(4)
 	ports := c.OpenPorts(testPort)
 	members := []fabric.NodeID{0, 1, 2}
 	tr := tree.Flat(0, members)
@@ -441,8 +440,7 @@ func TestNonMemberDropsMcast(t *testing.T) {
 }
 
 func TestGroupInstallValidatesTree(t *testing.T) {
-	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(4)
 	c.OpenPorts(testPort)
 	// Hand-build an invalid tree (child < parent under non-root).
 	defer func() {
@@ -465,7 +463,7 @@ func TestMulticastIntegrityProperty(t *testing.T) {
 		size := int(rawSize) % 20000
 		cfg := cluster.DefaultConfig(nodes)
 		cfg.Seed = int64(seed) + 1
-		c := cluster.NewFromConfig(cfg)
+		c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 		ports := c.OpenPorts(testPort)
 		tr := tree.Binomial(0, c.Members())
 		c.InstallGroup(3, tr, testPort, testPort)
@@ -555,7 +553,7 @@ func TestMcastAfterRemovalDropsAsNonMember(t *testing.T) {
 	})
 	r.c.Eng.RunUntil(20 * sim.Millisecond)
 	r.c.Eng.Kill()
-	if r.c.Nodes[2].Ext.Stats().NotMemberDrops == 0 {
+	if r.count(2, "not_member_drops") == 0 {
 		t.Fatal("stale multicast to removed group not counted as non-member drop")
 	}
 }
@@ -563,10 +561,9 @@ func TestMcastAfterRemovalDropsAsNonMember(t *testing.T) {
 func TestMulticastAcrossClosFabric(t *testing.T) {
 	// 64 nodes span a two-level Clos: the multicast tree crosses leaf and
 	// spine switches; everything must still deliver intact and in order.
-	cfg := cluster.DefaultConfig(64)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(64)
 	ports := c.OpenPorts(testPort)
-	tr := cfg.OptimalTree(0, c.Members(), 512)
+	tr := c.Cfg.OptimalTree(0, c.Members(), 512)
 	c.InstallGroup(31, tr, testPort, testPort)
 	msg := pattern(512)
 	delivered := 0
@@ -596,10 +593,9 @@ func TestMulticastAcrossClosFabric(t *testing.T) {
 func TestMulticastAcrossFatTree(t *testing.T) {
 	// 200 nodes need the three-level fat tree; cross-pod forwarding hops
 	// through six links.
-	cfg := cluster.DefaultConfig(200)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(200)
 	ports := c.OpenPorts(testPort)
-	tr := cfg.OptimalTree(0, c.Members(), 64)
+	tr := c.Cfg.OptimalTree(0, c.Members(), 64)
 	c.InstallGroup(32, tr, testPort, testPort)
 	delivered := 0
 	for n := 1; n < 200; n++ {

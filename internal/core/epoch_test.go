@@ -6,6 +6,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -27,7 +28,7 @@ func TestRemoveGroupBusyDefersUntilDrained(t *testing.T) {
 		// defer, not panic and not drop the message.
 		ext.RemoveGroup(r.gid, func() {
 			removed = true
-			if ext.GroupOutstanding(r.gid) != 0 {
+			if ext.OutstandingRecords() != 0 {
 				t.Error("group removed while records were outstanding")
 			}
 		})
@@ -58,7 +59,7 @@ func TestQuiesceGroupWaitsForDrain(t *testing.T) {
 		ext.Mcast(p, r.ports[0], r.gid, pattern(16384))
 		ext.QuiesceGroup(r.gid, func() {
 			busyRan = true
-			if n := ext.GroupOutstanding(r.gid); n != 0 {
+			if n := ext.OutstandingRecords(); n != 0 {
 				t.Errorf("quiesce fired with %d records outstanding", n)
 			}
 		})
@@ -118,7 +119,7 @@ func TestEpochRollCarriesTraffic(t *testing.T) {
 		}
 	}
 	for _, n := range []int{0, 1, 2, 3} {
-		if c := r.c.Nodes[n].Ext.Stats().EpochCommits; c != 1 {
+		if c := r.count(n, "epoch_commits"); c != 1 {
 			t.Fatalf("node %d counted %d epoch commits, want 1", n, c)
 		}
 	}
@@ -142,9 +143,9 @@ func TestStaleEpochFrameAckedAsDropped(t *testing.T) {
 	if _, ok := (*got)[2]; ok {
 		t.Fatal("stale-epoch frame was delivered at the node that moved ahead")
 	}
-	st := r.c.Nodes[2].Ext.Stats()
-	if st.StaleEpochDrops == 0 || st.AckedAsDropped == 0 {
-		t.Fatalf("stale frame not counted: %+v", st)
+	stale, acked := r.count(2, "stale_epoch_drops"), r.count(2, "acked_as_dropped")
+	if stale == 0 || acked == 0 {
+		t.Fatalf("stale frame not counted: stale_epoch_drops=%d acked_as_dropped=%d", stale, acked)
 	}
 }
 
@@ -158,7 +159,7 @@ func TestFutureEpochFrameDeliveredAfterCommit(t *testing.T) {
 		rollEpoch(p, r, 1, 0, 1, 3) // node 2 lags at epoch 0
 		r.c.Nodes[0].Ext.Mcast(p, r.ports[0], r.gid, pattern(64))
 		p.Sleep(300 * sim.Microsecond)
-		if r.c.Nodes[2].Ext.Stats().FutureEpochDrops == 0 {
+		if r.count(2, "future_epoch_drops") == 0 {
 			t.Error("lagging node accepted (or never saw) a future-epoch frame")
 		}
 		rollEpoch(p, r, 1, 2) // node 2 catches up; retransmits now land
@@ -175,7 +176,7 @@ func TestFutureEpochFrameDeliveredAfterCommit(t *testing.T) {
 // epoch space.
 func newRigEpoch(t *testing.T, nodes int, epoch uint32) *rig {
 	t.Helper()
-	c := cluster.NewFromConfig(cluster.DefaultConfig(nodes))
+	c := cluster.New(nodes, cluster.WithMetrics(metrics.New()))
 	r := &rig{c: c, ports: c.OpenPorts(testPort), gid: 7}
 	r.tr = tree.Flat(0, c.Members())
 	left := 0
@@ -215,12 +216,12 @@ func TestStaleClassificationAcrossEpochWrap(t *testing.T) {
 	if _, ok := (*got)[2]; ok {
 		t.Fatal("pre-wrap frame was delivered at the node that wrapped ahead")
 	}
-	st := r.c.Nodes[2].Ext.Stats()
-	if st.StaleEpochDrops == 0 || st.AckedAsDropped == 0 {
-		t.Fatalf("pre-wrap frame not classified stale across the wrap: %+v", st)
+	stale, acked := r.count(2, "stale_epoch_drops"), r.count(2, "acked_as_dropped")
+	if stale == 0 || acked == 0 {
+		t.Fatalf("pre-wrap frame not classified stale across the wrap: stale_epoch_drops=%d acked_as_dropped=%d", stale, acked)
 	}
-	if st.FutureEpochDrops != 0 {
-		t.Fatalf("pre-wrap frame misclassified as future %d times", st.FutureEpochDrops)
+	if future := r.count(2, "future_epoch_drops"); future != 0 {
+		t.Fatalf("pre-wrap frame misclassified as future %d times", future)
 	}
 }
 
@@ -240,11 +241,10 @@ func TestFutureClassificationAcrossEpochWrap(t *testing.T) {
 		}
 		r.c.Nodes[0].Ext.Mcast(p, r.ports[0], r.gid, pattern(64))
 		p.Sleep(300 * sim.Microsecond)
-		st := r.c.Nodes[2].Ext.Stats()
-		if st.FutureEpochDrops == 0 {
+		if r.count(2, "future_epoch_drops") == 0 {
 			t.Error("laggard accepted (or never saw) a post-wrap future-epoch frame")
 		}
-		if st.AckedAsDropped != 0 {
+		if r.count(2, "acked_as_dropped") != 0 {
 			t.Error("laggard acked-as-dropped a future frame — wrap misclassification")
 		}
 		rollEpoch(p, r, 1, 2) // node 2 wraps too; retransmits now land

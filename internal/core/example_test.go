@@ -13,8 +13,7 @@ import (
 // spanning tree into the NIC group tables, have destinations provide
 // receive tokens, and multicast from the root with one host request.
 func Example() {
-	cfg := cluster.DefaultConfig(4)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(4)
 	ports := c.OpenPorts(1)
 
 	// The host constructs the tree (here binomial) and preposts it.

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/gm"
 	"repro/internal/lanai"
-	"repro/internal/metrics"
 	"repro/internal/trace"
 	"repro/internal/tree"
 )
@@ -21,21 +20,6 @@ type Ext struct {
 	groups map[gm.GroupID]*group
 	coll   Collective // NIC-resident collective engine (internal/coll)
 	m      instruments
-}
-
-// install is the option-independent core of Install and the deprecated
-// shims. Multicast counters go to the registry wired via the hardware
-// NIC's SetMetrics; when none is wired, a private always-on registry
-// backs the legacy Stats accessor.
-func install(nic *gm.NIC, cfg Config) *Ext {
-	e := &Ext{
-		nic:    nic,
-		cfg:    cfg,
-		groups: make(map[gm.GroupID]*group),
-	}
-	e.initMetrics(metrics.Ensure(nic.HW.Registry()))
-	nic.SetExtension(e)
-	return e
 }
 
 // FromNIC returns the extension installed on a NIC.
@@ -59,20 +43,6 @@ func (e *Ext) HasGroup(id gm.GroupID) bool {
 	return ok
 }
 
-// GroupOutstanding reports one group's unretired send records (0 for an
-// unknown group).
-//
-// Deprecated: polling this from the host to quiesce a group races the
-// firmware (records can be created between polls) and burns simulated
-// time. Use QuiesceGroup, which runs a callback exactly when the entry's
-// outstanding send work has drained.
-func (e *Ext) GroupOutstanding(id gm.GroupID) int {
-	if g, ok := e.groups[id]; ok {
-		return len(g.records)
-	}
-	return 0
-}
-
 // GroupEpoch reports a group's active epoch (0 for static groups and for
 // unknown groups) and whether the entry is live — a joining NIC's staged
 // entry exists but is not live until its first commit.
@@ -86,10 +56,9 @@ func (e *Ext) GroupEpoch(id gm.GroupID) (epoch uint32, live bool) {
 // QuiesceGroup runs fn (in firmware context) as soon as the group's
 // outstanding send-side work — unretired send records and packets still
 // staging or replicating — has drained; immediately if it already has, or
-// if the group is unknown. This replaces the old idiom of polling
-// GroupOutstanding from the host: the callback fires at the exact
-// firmware event that retires the last record, with no race window and
-// no polling traffic.
+// if the group is unknown. The callback fires at the exact firmware event
+// that retires the last record, so the host needs no polling (which would
+// race the firmware and burn simulated time).
 func (e *Ext) QuiesceGroup(id gm.GroupID, fn func()) {
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {

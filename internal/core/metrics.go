@@ -6,10 +6,8 @@ import "repro/internal/metrics"
 const Component = "core"
 
 // instruments are the multicast counters and distributions for one NIC,
-// cached so the forwarding hot path does no registry lookups. With a
-// disabled registry every field is nil and updates are no-ops; when no
-// registry is wired at all, Install falls back to a private enabled
-// registry so the legacy Stats accessor still counts.
+// cached so the forwarding hot path does no registry lookups. When no
+// registry is wired every field is nil and updates are no-ops.
 type instruments struct {
 	mcastSent        *metrics.Counter
 	mcastReceived    *metrics.Counter
@@ -74,46 +72,5 @@ func (e *Ext) initMetrics(reg *metrics.Registry) {
 		fwdBeforeFull:    reg.Counter(Component, id, "forwards_before_full"),
 		fanout:           reg.Histogram(Component, id, "fanout"),
 		ackLatencyNs:     reg.Histogram(Component, id, "ack_latency_ns"),
-	}
-}
-
-// Stats returns a snapshot of multicast counters, merged with the
-// collective engine's counters when one is wired (the collective fields —
-// BarrierSent, BarriersDone, ReduceSent, ReduceCombines — lived here
-// before internal/coll subsumed those paths, and Retransmits, Duplicates
-// and NotMemberDrops each cover both subsystems).
-//
-// Deprecated: the counters now live in the metrics registry (components
-// "core" and "coll"); read them through a Snapshot. This accessor remains
-// for callers that predate the registry.
-func (e *Ext) Stats() Stats {
-	var cs CollStats
-	if e.coll != nil {
-		cs = e.coll.CollStats()
-	}
-	return Stats{
-		McastSent:           e.m.mcastSent.Value(),
-		McastReceived:       e.m.mcastReceived.Value(),
-		McastForwarded:      e.m.mcastForwarded.Value(),
-		McastAcksSent:       e.m.acksSent.Value(),
-		McastAcksRecv:       e.m.acksRecv.Value(),
-		McastAcksSuppressed: e.m.acksSuppressed.Value(),
-		McastAcksAggregated: e.m.acksAggregated.Value(),
-		Retransmits:         e.m.retransmits.Value() + cs.Retransmits,
-		Duplicates:          e.m.duplicates.Value() + cs.Duplicates,
-		OutOfOrderDrops:     e.m.oooDrops.Value(),
-		NoTokenDrops:        e.m.noTokenDrops.Value(),
-		NotMemberDrops:      e.m.notMemberDrops.Value() + cs.NotMemberDrops,
-		McastNacksSent:      e.m.nacksSent.Value(),
-		McastNacksRecv:      e.m.nacksRecv.Value(),
-		StaleEpochDrops:     e.m.staleEpochDrops.Value(),
-		FutureEpochDrops:    e.m.futureEpochDrops.Value(),
-		StaleEpochAcks:      e.m.staleEpochAcks.Value(),
-		AckedAsDropped:      e.m.ackedAsDropped.Value(),
-		EpochCommits:        e.m.epochCommits.Value(),
-		BarrierSent:         cs.BarrierSent,
-		BarriersDone:        cs.BarriersDone,
-		ReduceSent:          cs.ReduceSent,
-		ReduceCombines:      cs.ReduceCombines,
 	}
 }

@@ -5,19 +5,24 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
 
 // mcastLossyRun multicasts a three-packet message down a chain with the
-// middle packet dropped on the first hop, returning the leaf delivery time.
+// middle packet dropped on the first hop, returning the leaf delivery time
+// and the intermediate node's multicast nack count.
 func mcastLossyRun(t *testing.T, nacks bool) (sim.Time, uint64) {
 	t.Helper()
-	cfg := cluster.DefaultConfig(3)
-	cfg.GM.EnableNacks = nacks
-	c := cluster.NewFromConfig(cfg)
+	opts := []cluster.Option{cluster.WithMetrics(metrics.New())}
+	if nacks {
+		opts = append(opts, cluster.WithNacks())
+	}
+	c := cluster.New(3, opts...)
 	ports := c.OpenPorts(testPort)
 	tr := tree.Chain(0, c.Members())
 	c.InstallGroup(21, tr, testPort, testPort)
@@ -50,7 +55,7 @@ func mcastLossyRun(t *testing.T, nacks bool) (sim.Time, uint64) {
 	})
 	c.Eng.Run()
 	c.Eng.Kill()
-	return leafAt, c.Nodes[1].Ext.Stats().McastNacksSent
+	return leafAt, c.Registry().Snapshot().Counter(core.Component, 1, "mcast_nacks_sent")
 }
 
 func TestMcastNacksSpeedUpRecovery(t *testing.T) {
@@ -72,7 +77,7 @@ func TestMcastNacksUnderRandomLossStillCorrect(t *testing.T) {
 	cfg.GM.EnableNacks = true
 	cfg.LossRate = 0.04
 	cfg.Seed = 17
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(testPort)
 	tr := tree.Binomial(0, c.Members())
 	c.InstallGroup(22, tr, testPort, testPort)

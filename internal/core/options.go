@@ -43,18 +43,19 @@ func WithAdaptiveRTO() Option {
 // firmware-level protocol switches on the NIC itself):
 //
 //	core.Install(nic, core.WithNacks(), core.WithAdaptiveRTO())
-func Install(nic *gm.NIC, opts ...Option) *Ext {
-	cfg := DefaultConfig()
-	for _, o := range opts {
-		o(nic, &cfg)
-	}
-	return install(nic, cfg)
-}
-
-// InstallWithConfig loads the multicast extension with an explicit
-// configuration.
 //
-// Deprecated: use Install with WithConfig.
-func InstallWithConfig(nic *gm.NIC, cfg Config) *Ext {
-	return install(nic, cfg)
+// Multicast counters go to the registry wired via the hardware NIC's
+// SetMetrics (none when it is nil).
+func Install(nic *gm.NIC, opts ...Option) *Ext {
+	e := &Ext{
+		nic:    nic,
+		cfg:    DefaultConfig(),
+		groups: make(map[gm.GroupID]*group),
+	}
+	for _, o := range opts {
+		o(nic, &e.cfg)
+	}
+	e.initMetrics(nic.HW.Registry())
+	nic.SetExtension(e)
+	return e
 }

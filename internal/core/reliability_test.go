@@ -12,6 +12,7 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/lanai"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -32,10 +33,12 @@ func newCoreRig(t *testing.T, nodes int, mut func(*gm.Config)) *coreRig {
 		mut(&gcfg)
 	}
 	r := &coreRig{eng: eng, net: net}
+	reg := metrics.New()
 	for i := 0; i < nodes; i++ {
 		hw := lanai.New(eng, net.Iface(fabric.NodeID(i)), lanai.DefaultParams())
+		hw.SetMetrics(reg)
 		nic := gm.NewNIC(hw, gcfg)
-		r.exts = append(r.exts, InstallWithConfig(nic, DefaultConfig()))
+		r.exts = append(r.exts, Install(nic))
 		r.ports = append(r.ports, nic.OpenPort(1))
 	}
 	return r

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
+	"repro/internal/coll"
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/tree"
 )
@@ -39,10 +41,8 @@ func TestSoakMixedTraffic(t *testing.T) {
 		lossRate  = 0.015
 		timeLimit = 2 * sim.Second
 	)
-	cfg := cluster.DefaultConfig(nodes)
-	cfg.LossRate = lossRate
-	cfg.Seed = 2003
-	c := cluster.NewFromConfig(cfg)
+	reg := metrics.New()
+	c := cluster.New(nodes, cluster.WithLossRate(lossRate), cluster.WithSeed(2003), cluster.WithMetrics(reg))
 
 	portsA := c.OpenPorts(mcPortA)
 	portsB := c.OpenPorts(mcPortB)
@@ -51,11 +51,11 @@ func TestSoakMixedTraffic(t *testing.T) {
 	portsRed := c.OpenPorts(redPort)
 
 	c.InstallGroup(groupA, tree.Binomial(rootA, c.Members()), mcPortA, mcPortA)
-	treeB := cfg.OptimalTree(fabric.NodeID(rootB), c.Members(), 2000)
+	treeB := c.Cfg.OptimalTree(fabric.NodeID(rootB), c.Members(), 2000)
 	c.InstallGroup(groupB, treeB, mcPortB, mcPortB)
 	c.InstallGroup(redGroup, tree.Binomial(0, c.Members()), redPort, redPort)
 	for _, n := range c.Nodes {
-		n.Ext.InstallBarrier(barGroup, c.Members(), barPort, nil)
+		n.Coll.Install(barGroup, c.Members(), barPort, nil)
 	}
 
 	msgsA := make([][]byte, rounds)
@@ -149,8 +149,8 @@ func TestSoakMixedTraffic(t *testing.T) {
 				portsRed[n].ProvideN(rounds, 128)
 			}
 			for i := 0; i < rounds; i++ {
-				c.Nodes[n].Ext.Barrier(p, portsBar[n], barGroup)
-				res := c.Nodes[n].Ext.AllreduceNIC(p, portsRed[n], redGroup, []int64{int64(n)}, core.OpSum)
+				c.Nodes[n].Coll.Barrier(p, portsBar[n], barGroup)
+				res := c.Nodes[n].Coll.Allreduce(p, portsRed[n], redGroup, []int64{int64(n)}, coll.OpSum)
 				if n == 0 {
 					redResults = append(redResults, res[0])
 				}
@@ -184,10 +184,10 @@ func TestSoakMixedTraffic(t *testing.T) {
 		}
 	}
 	// The loss rate must actually have exercised recovery somewhere.
-	var retrans uint64
-	for _, n := range c.Nodes {
-		retrans += n.Ext.Stats().Retransmits + n.NIC.Stats().Retransmits
-	}
+	snap := reg.Snapshot()
+	retrans := snap.CounterSum(core.Component, "retransmits") +
+		snap.CounterSum(coll.Component, "retransmits") +
+		snap.CounterSum(gm.Component, "retransmits")
 	if retrans == 0 {
 		t.Error("soak with 1.5% loss saw zero retransmissions")
 	}

@@ -138,7 +138,7 @@ func Run(cfg Config, sched Schedule) Outcome {
 	ccfg := cluster.DefaultConfig(cfg.Nodes)
 	ccfg.Seed = sched.Seed
 	ccfg.Metrics = reg
-	c := cluster.NewFromConfig(ccfg)
+	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
 	if c.Eng == nil {
 		panic("explore: schedule exploration requires a serial cluster")
 	}

@@ -59,9 +59,7 @@ func Shrink(cfg Config, failing Outcome, mRuns *metrics.Counter) (Outcome, int) 
 			return Outcome{}, false
 		}
 		runs++
-		if mRuns != nil {
-			mRuns.Inc()
-		}
+		mRuns.Inc()
 		out := Run(cfg, itemsSchedule(seed, sub))
 		return out, !out.Pass
 	}
@@ -107,7 +105,7 @@ func minInt(a, b int) int {
 // exploreMetrics wires the explorer's own instrumentation into the
 // (optional) caller-supplied registry.
 func exploreMetrics(cfg Config) (runs, failures, shrinkRuns *metrics.Counter) {
-	reg := metrics.Ensure(cfg.Metrics)
+	reg := cfg.Metrics
 	return reg.Counter("explore", 0, "schedules_run"),
 		reg.Counter("explore", 0, "failures"),
 		reg.Counter("explore", 0, "shrink_runs")

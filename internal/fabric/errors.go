@@ -7,8 +7,7 @@ import "errors"
 // these surface either as returned errors from the validating setters or
 // as panics carrying error values: recover the value and test it with
 // errors.Is. They live here — not in a backend or in cluster — because
-// every fabric shares the same validation rules; the old myrinet/cluster
-// names remain as deprecated aliases.
+// every fabric shares the same validation rules.
 var (
 	// ErrLossRateWithoutRNG reports enabling stochastic loss on a fabric
 	// that has no randomness source installed (SetRNG).

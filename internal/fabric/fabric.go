@@ -42,10 +42,3 @@ type Packet struct {
 	Payload  any
 	TxDone   func()
 }
-
-// Stats are fabric-wide packet counters.
-type Stats struct {
-	Injected  uint64
-	Delivered uint64
-	Dropped   uint64
-}

@@ -10,15 +10,13 @@ const Component = "net"
 
 // SetMetrics wires fabric instrumentation into reg. Instruments are cached
 // on the Network and on each Link so the per-packet hot path performs no
-// map lookups; with a disabled registry every cached instrument is nil and
-// each update is a no-op; a nil registry gets a private always-on one so
-// the deprecated Stats accessor keeps counting. Bytes and drops are attributed to the host
-// endpoint of host-attached links (trunk links fall to the fabric pseudo
-// node); serialization stalls are attributed to the vertex whose output
-// port was busy — the injecting host, or the contended switch. PFC pause
+// map lookups; with a nil registry every cached instrument is nil and each
+// update is a no-op. Bytes and drops are attributed to the host endpoint
+// of host-attached links (trunk links fall to the fabric pseudo node);
+// serialization stalls are attributed to the vertex whose output port was
+// busy — the injecting host, or the contended switch. PFC pause
 // counts and pause time follow the stall attribution.
 func (n *Network) SetMetrics(reg *metrics.Registry) {
-	reg = metrics.Ensure(reg)
 	n.mInjected = reg.Counter(Component, metrics.NodeFabric, "injected")
 	n.mDelivered = reg.Counter(Component, metrics.NodeFabric, "delivered")
 	n.mDropped = reg.Counter(Component, metrics.NodeFabric, "dropped")

@@ -63,7 +63,7 @@ type Network struct {
 	rng *sim.RNG
 
 	// Cached fabric-wide instruments, set by SetMetrics; nil (no-op)
-	// when the registry is disabled.
+	// when no registry is wired.
 	mInjected   *metrics.Counter
 	mDelivered  *metrics.Counter
 	mDropped    *metrics.Counter
@@ -97,18 +97,6 @@ func (n *Network) Hosts() int { return len(n.hosts) }
 
 // Iface returns the interface for a node.
 func (n *Network) Iface(id NodeID) *Iface { return n.hosts[id] }
-
-// Stats returns a snapshot of fabric counters.
-//
-// Deprecated: read the metrics registry wired via SetMetrics instead;
-// this shim reports zeros when the registry is disabled.
-func (n *Network) Stats() Stats {
-	return Stats{
-		Injected:  n.mInjected.Value(),
-		Delivered: n.mDelivered.Value(),
-		Dropped:   n.mDropped.Value(),
-	}
-}
 
 // SetRNG installs the randomness source used for loss injection.
 func (n *Network) SetRNG(rng *sim.RNG) { n.rng = rng }
@@ -517,8 +505,7 @@ func (s *crossSorter) Less(i, j int) bool {
 
 // New allocates the network shell on eng; topology builders fill it in with
 // AddSwitch/AddHost/Connect and install routing with SetRoute (or
-// UseBFSRoute), then call SetMetrics(nil) to arm the accounting
-// instruments.
+// UseBFSRoute); SetMetrics arms the accounting instruments.
 func New(eng *sim.Engine, params LinkParams) *Network {
 	n := &Network{
 		eng:    eng,
@@ -598,7 +585,6 @@ func SingleSwitch(eng *sim.Engine, hosts int, params LinkParams) *Network {
 		n.AddHost(NodeID(i), sw)
 	}
 	n.UseBFSRoute()
-	n.SetMetrics(nil)
 	return n
 }
 

@@ -34,7 +34,6 @@ func dumbbell(fast, slow sim.Time) *Network {
 	n.ConnectWith(m, l1, slowP)
 	n.ConnectWith(m, l1, slowP)
 	n.UseBFSRoute()
-	n.SetMetrics(nil)
 	return n
 }
 
@@ -140,7 +139,6 @@ func TestPartitionHeterogeneousBalanceTieBreak(t *testing.T) {
 	n.Connect(l0, m)
 	n.Connect(m, l1)
 	n.UseBFSRoute()
-	n.SetMetrics(nil)
 	plan := n.PartitionObjective(2, ObjectiveMaxLookahead)
 	// M has one equal-latency link to each side; shard 0 holds an extra
 	// vertex (X0), so balance sends M to shard 1.

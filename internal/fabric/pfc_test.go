@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -19,6 +20,8 @@ func incast(t *testing.T, params LinkParams, senders, msgs int) (deliveries []si
 	t.Helper()
 	eng := sim.NewEngine()
 	net := SingleSwitch(eng, senders+1, params)
+	reg := metrics.New()
+	net.SetMetrics(reg)
 	net.Iface(0).Deliver = func(*Packet) { deliveries = append(deliveries, eng.Now()) }
 	for s := 1; s <= senders; s++ {
 		for m := 0; m < msgs; m++ {
@@ -41,11 +44,11 @@ func incast(t *testing.T, params LinkParams, senders, msgs int) (deliveries []si
 			t.Fatalf("link %s finished with %d queued bytes", l, l.queued)
 		}
 	}
-	st := net.Stats()
-	if st.Dropped != 0 {
-		t.Fatalf("lossless fabric dropped %d packets", st.Dropped)
+	snap := reg.Snapshot()
+	if dropped := snap.Counter(Component, metrics.NodeFabric, "dropped"); dropped != 0 {
+		t.Fatalf("lossless fabric dropped %d packets", dropped)
 	}
-	if got, want := int(st.Delivered), senders*msgs; got != want {
+	if got, want := int(snap.Counter(Component, metrics.NodeFabric, "delivered")), senders*msgs; got != want {
 		t.Fatalf("delivered %d packets, want %d", got, want)
 	}
 	return deliveries, maxQueued, pauses
@@ -152,6 +155,7 @@ func TestPFCPauseTimeAccounted(t *testing.T) {
 		ResumeBytes: pfcPkt,
 	}
 	net := SingleSwitch(eng, 3, params)
+	net.SetMetrics(metrics.New())
 	net.Iface(0).Deliver = func(*Packet) {}
 	for m := 0; m < 10; m++ {
 		net.Iface(1).Inject(&Packet{Src: 1, Dst: 0, Size: pfcPkt})

@@ -41,18 +41,17 @@ func TestCoalescedAcksCutAckTraffic(t *testing.T) {
 	if got := streamMsgs(t, r, msgs, 64); got != msgs {
 		t.Fatalf("delivered %d of %d", got, msgs)
 	}
-	st := r.nics[1].Stats()
 	// Every accepted packet is either acknowledged or folded into a
 	// cumulative ack — the economy may never lose one.
-	if st.AcksSent+st.AcksSuppressed != msgs {
+	if r.count(1, "acks_sent")+r.count(1, "acks_suppressed") != msgs {
 		t.Fatalf("acks sent %d + suppressed %d != %d packets accepted",
-			st.AcksSent, st.AcksSuppressed, msgs)
+			r.count(1, "acks_sent"), r.count(1, "acks_suppressed"), msgs)
 	}
-	if st.AcksSent > msgs/2 {
+	if r.count(1, "acks_sent") > msgs/2 {
 		t.Fatalf("coalescing sent %d acks for %d packets (expected <= %d)",
-			st.AcksSent, msgs, msgs/2)
+			r.count(1, "acks_sent"), msgs, msgs/2)
 	}
-	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
+	if rt := r.count(0, "retransmits"); rt != 0 {
 		t.Fatalf("delayed acks caused %d spurious retransmits", rt)
 	}
 	if n := r.nics[1].PendingAckTimers(); n != 0 {
@@ -101,16 +100,15 @@ func TestPiggybackAcksRideReverseData(t *testing.T) {
 	if replies != msgs/replyEvery {
 		t.Fatalf("got %d replies, want %d", replies, msgs/replyEvery)
 	}
-	st1 := r.nics[1].Stats()
-	if st1.AcksPiggybacked == 0 {
+	if r.count(1, "acks_piggybacked") == 0 {
 		t.Fatal("reverse data carried no piggybacked acks")
 	}
-	if st1.AcksSent+st1.AcksSuppressed != msgs {
+	if r.count(1, "acks_sent")+r.count(1, "acks_suppressed") != msgs {
 		t.Fatalf("acks sent %d + suppressed %d != %d requests accepted",
-			st1.AcksSent, st1.AcksSuppressed, msgs)
+			r.count(1, "acks_sent"), r.count(1, "acks_suppressed"), msgs)
 	}
-	for i, nic := range r.nics {
-		if rt := nic.Stats().Retransmits; rt != 0 {
+	for i := range r.nics {
+		if rt := r.count(i, "retransmits"); rt != 0 {
 			t.Fatalf("node %d: %d spurious retransmits under piggybacking", i, rt)
 		}
 	}
@@ -146,7 +144,7 @@ func TestCoalescedRTTEstimatorSane(t *testing.T) {
 			t.Fatalf("backoff %d not reset by ack progress", c.backoff)
 		}
 	}
-	if rt := r.nics[0].Stats().Retransmits; rt != 0 {
+	if rt := r.count(0, "retransmits"); rt != 0 {
 		t.Fatalf("clean coalesced run retransmitted %d times (RTO below ack delay?)", rt)
 	}
 }
@@ -236,9 +234,8 @@ func TestCumulativeAckSeqWraparound(t *testing.T) {
 	if len(c.records) != 0 {
 		t.Fatalf("%d send records not retired across wraparound", len(c.records))
 	}
-	st := r.nics[0].Stats()
-	if st.Retransmits != 0 {
-		t.Fatalf("%d retransmits on a clean wraparound run", st.Retransmits)
+	if r.count(0, "retransmits") != 0 {
+		t.Fatalf("%d retransmits on a clean wraparound run", r.count(0, "retransmits"))
 	}
 }
 

@@ -6,10 +6,8 @@ import "repro/internal/metrics"
 const Component = "gm"
 
 // instruments are the protocol counters for one NIC, cached so hot paths
-// do no registry lookups. When the stack is wired with a disabled registry
-// every field is nil and updates are no-ops; when no registry is wired at
-// all, NewNIC falls back to a private enabled registry so the legacy
-// Stats accessor still counts.
+// do no registry lookups. When no registry is wired every field is nil and
+// updates are no-ops.
 type instruments struct {
 	dataSent         *metrics.Counter
 	dataReceived     *metrics.Counter
@@ -48,29 +46,5 @@ func (n *NIC) initMetrics(reg *metrics.Registry) {
 		directedReceived: reg.Counter(Component, id, "directed_received"),
 		directedRefused:  reg.Counter(Component, id, "directed_refused"),
 		tokenWaitNs:      reg.Histogram(Component, id, "token_wait_ns"),
-	}
-}
-
-// Stats returns a snapshot of protocol counters.
-//
-// Deprecated: the counters now live in the metrics registry (component
-// "gm"); read them through a Snapshot. This accessor remains for callers
-// that predate the registry.
-func (n *NIC) Stats() Stats {
-	return Stats{
-		DataSent:         n.m.dataSent.Value(),
-		DataReceived:     n.m.dataReceived.Value(),
-		AcksSent:         n.m.acksSent.Value(),
-		AcksReceived:     n.m.acksReceived.Value(),
-		AcksSuppressed:   n.m.acksSuppressed.Value(),
-		AcksPiggybacked:  n.m.acksPiggybacked.Value(),
-		Retransmits:      n.m.retransmits.Value(),
-		Duplicates:       n.m.duplicates.Value(),
-		OutOfOrderDrops:  n.m.oooDrops.Value(),
-		NoTokenDrops:     n.m.noTokenDrops.Value(),
-		NacksSent:        n.m.nacksSent.Value(),
-		NacksReceived:    n.m.nacksReceived.Value(),
-		DirectedReceived: n.m.directedReceived.Value(),
-		DirectedRefused:  n.m.directedRefused.Value(),
 	}
 }

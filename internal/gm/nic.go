@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lanai"
-	"repro/internal/metrics"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -18,29 +17,6 @@ type Extension interface {
 	// HandleRx sees every frame arriving from the wire before the base
 	// protocol does. Returning true consumes the frame.
 	HandleRx(fr *Frame) bool
-}
-
-// Stats count protocol-level incidents on one NIC.
-type Stats struct {
-	DataSent     uint64
-	DataReceived uint64
-	AcksSent     uint64
-	AcksReceived uint64
-	// AcksSuppressed counts per-packet acknowledgments avoided by the
-	// coalescing/piggyback economy; AcksPiggybacked counts data frames
-	// that carried one.
-	AcksSuppressed  uint64
-	AcksPiggybacked uint64
-	Retransmits     uint64
-	Duplicates      uint64 // in-window duplicates re-acked
-	OutOfOrderDrops uint64
-	NoTokenDrops    uint64 // in-sequence packets dropped: no receive token
-	NacksSent       uint64
-	NacksReceived   uint64
-	// DirectedReceived counts accepted remote-DMA writes; DirectedRefused
-	// counts writes refused for unknown regions or bounds violations.
-	DirectedReceived uint64
-	DirectedRefused  uint64
 }
 
 // NIC is the GM firmware state for one lanai NIC.
@@ -68,8 +44,7 @@ type connKey struct {
 }
 
 // NewNIC loads the GM firmware onto a hardware NIC. Protocol counters go
-// to the registry wired via hw.SetMetrics; when none is wired, a private
-// always-on registry backs the legacy Stats accessor.
+// to the registry wired via hw.SetMetrics (none when it is nil).
 func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 	n := &NIC{
 		HW:    hw,
@@ -78,7 +53,7 @@ func NewNIC(hw *lanai.NIC, cfg Config) *NIC {
 		conns: make(map[connKey]*conn),
 		rcvrs: make(map[connKey]*rcvr),
 	}
-	n.initMetrics(metrics.Ensure(hw.Registry()))
+	n.initMetrics(hw.Registry())
 	hw.RxDispatch = n.rxDispatch
 	return n
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/fabric"
 	"repro/internal/lanai"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -131,6 +132,8 @@ func TestPacketConservationProperty(t *testing.T) {
 		const nodes = 5
 		eng := sim.NewEngine()
 		net := fabric.SingleSwitch(eng, nodes, fabric.DefaultLinkParams())
+		reg := metrics.New()
+		net.SetMetrics(reg)
 		net.SetRNG(sim.NewRNG(seed))
 		net.LossRate = 0.1
 		delivered := uint64(0)
@@ -148,8 +151,9 @@ func TestPacketConservationProperty(t *testing.T) {
 			}
 		})
 		eng.Run()
-		st := net.Stats()
-		return st.Injected == st.Delivered+st.Dropped && st.Delivered == delivered
+		snap := reg.Snapshot()
+		count := func(name string) uint64 { return snap.Counter(fabric.Component, metrics.NodeFabric, name) }
+		return count("injected") == count("delivered")+count("dropped") && count("delivered") == delivered
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)

@@ -87,6 +87,11 @@ func (o Options) config(nodes int) *cluster.Config {
 	return cfg
 }
 
+// newCluster builds a cluster of the given size from the options.
+func (o Options) newCluster(nodes int) *cluster.Cluster {
+	return cluster.New(nodes, cluster.WithConfig(o.config(nodes)))
+}
+
 // Point is one (message size, host-based, NIC-based) measurement; the unit
 // is microseconds.
 type Point struct {

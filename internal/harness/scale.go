@@ -34,7 +34,7 @@ func (p ScalePoint) Factor() float64 {
 // measured, which is why the paper's methodology uses a single leaf ack.
 func (o Options) lastDelivery(nodes, size int, nb bool) float64 {
 	cfg := o.config(nodes)
-	c := cluster.NewFromConfig(cfg)
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg))
 	ports := c.OpenPorts(benchPort)
 	var tr *tree.Tree
 	if nb {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -13,9 +14,17 @@ func testNIC(t *testing.T) (*sim.Engine, *NIC, *NIC) {
 	net := fabric.SingleSwitch(eng, 2, fabric.DefaultLinkParams())
 	a := New(eng, net.Iface(0), DefaultParams())
 	b := New(eng, net.Iface(1), DefaultParams())
+	reg := metrics.New()
+	a.SetMetrics(reg)
+	b.SetMetrics(reg)
 	a.RxDispatch = func(p *fabric.Packet) {}
 	b.RxDispatch = func(p *fabric.Packet) {}
 	return eng, a, b
+}
+
+// counter reads one of the NIC's hardware counters from its registry.
+func counter(n *NIC, name string) uint64 {
+	return n.Registry().Snapshot().Counter(Component, int(n.ID), name)
 }
 
 func TestCPUSerializesWork(t *testing.T) {
@@ -76,8 +85,8 @@ func TestHostEventQueueFIFO(t *testing.T) {
 	if ev1 != "first" || ev2 != "second" {
 		t.Fatalf("events %v %v out of order", ev1, ev2)
 	}
-	if a.Stats().HostEvents != 2 {
-		t.Fatalf("HostEvents = %d, want 2", a.Stats().HostEvents)
+	if got := counter(a, "host_events"); got != 2 {
+		t.Fatalf("host_events = %d, want 2", got)
 	}
 }
 
@@ -189,8 +198,8 @@ func TestRxNoBufferAccounting(t *testing.T) {
 	_, a, _ := testNIC(t)
 	a.CountRxNoBuffer()
 	a.CountRxNoBuffer()
-	if a.Stats().RxNoBuffer != 2 {
-		t.Fatalf("RxNoBuffer = %d, want 2", a.Stats().RxNoBuffer)
+	if got := counter(a, "rx_nobuffer"); got != 2 {
+		t.Fatalf("rx_nobuffer = %d, want 2", got)
 	}
 }
 

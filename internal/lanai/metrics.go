@@ -7,12 +7,10 @@ const Component = "lanai"
 
 // SetMetrics wires hardware instrumentation into reg, keyed by this NIC's
 // node ID. Instruments are cached on the NIC and its buffer pools so the
-// per-event hot paths perform no map lookups; with a disabled registry
-// every cached instrument is nil and each update is a no-op, while a nil
-// registry gets a private always-on one backing the deprecated Stats
-// accessor. Call before attaching firmware so no events go uncounted.
+// per-event hot paths perform no map lookups; with a nil registry every
+// cached instrument is nil and each update is a no-op. Call before
+// attaching firmware so no events go uncounted.
 func (n *NIC) SetMetrics(reg *metrics.Registry) {
-	reg = metrics.Ensure(reg)
 	n.reg = reg
 	id := int(n.ID)
 	n.mCPUBusyNs = reg.Counter(Component, id, "cpu_busy_ns")

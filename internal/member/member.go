@@ -124,7 +124,7 @@ func RunOn(c *cluster.Cluster, cfg Config, plan workload.ChurnPlan, data, ctrl [
 		// root's engine — on a sharded cluster that is the root's shard.
 		finalWait: sim.NewWaiter(c.EngineOf(root)),
 	}
-	reg := metrics.Ensure(c.Cfg.Metrics)
+	reg := c.Cfg.Metrics
 	s.mTransitions = reg.Counter("member", int(s.root), "transitions")
 	s.mJoins = reg.Counter("member", int(s.root), "joins")
 	s.mLeaves = reg.Counter("member", int(s.root), "leaves")

@@ -7,9 +7,8 @@
 // how many retransmissions the loss recovery paid, where buffer pools
 // stalled.
 //
-// Instruments are allocation-light and nil-safe: a disabled registry (or a
-// nil one) hands out nil instruments, and every method on a nil instrument
-// is a no-op. Instrument updates never touch the simulation engine, so
+// Instruments are allocation-light and nil-safe: a nil registry hands out
+// nil instruments, and every method on a nil instrument is a no-op. Instrument updates never touch the simulation engine, so
 // enabling metrics cannot change any simulated timestamp — a property the
 // determinism tests pin down.
 //
@@ -51,9 +50,9 @@ func (k Key) String() string {
 }
 
 // Registry holds a run's instruments. The zero value is unusable; build
-// one with New (enabled) or Disabled (all instruments are no-ops).
+// one with New. A nil *Registry is the "metrics off" state: it hands out
+// nil instruments, making every instrument operation a no-op.
 type Registry struct {
-	disabled bool
 	mu       sync.Mutex
 	counters map[Key]*Counter
 	gauges   map[Key]*Gauge
@@ -69,27 +68,10 @@ func New() *Registry {
 	}
 }
 
-// Disabled returns a registry whose instrument constructors all return
-// nil, making every instrument operation a no-op.
-func Disabled() *Registry { return &Registry{disabled: true} }
-
-// Ensure returns r unchanged when non-nil, else a fresh enabled registry.
-// Components use it so that a caller who wires no registry still gets
-// working counters (the legacy Stats accessors read them).
-func Ensure(r *Registry) *Registry {
-	if r != nil {
-		return r
-	}
-	return New()
-}
-
-// Enabled reports whether the registry hands out live instruments.
-func (r *Registry) Enabled() bool { return r != nil && !r.disabled }
-
 // Counter returns (creating on first use) the named counter, or nil when
-// the registry is disabled.
+// the registry is nil.
 func (r *Registry) Counter(component string, node int, name string) *Counter {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	k := Key{component, node, name}
@@ -104,9 +86,9 @@ func (r *Registry) Counter(component string, node int, name string) *Counter {
 }
 
 // Gauge returns (creating on first use) the named gauge, or nil when the
-// registry is disabled.
+// registry is nil.
 func (r *Registry) Gauge(component string, node int, name string) *Gauge {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	k := Key{component, node, name}
@@ -121,9 +103,9 @@ func (r *Registry) Gauge(component string, node int, name string) *Gauge {
 }
 
 // Histogram returns (creating on first use) the named histogram, or nil
-// when the registry is disabled.
+// when the registry is nil.
 func (r *Registry) Histogram(component string, node int, name string) *Histogram {
-	if !r.Enabled() {
+	if r == nil {
 		return nil
 	}
 	k := Key{component, node, name}

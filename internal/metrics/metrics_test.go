@@ -7,26 +7,27 @@ import (
 	"testing"
 )
 
+// TestNilAndDisabledInstrumentsAreNoOps pins the "metrics off" state: a
+// nil registry hands out nil instruments, and nil instruments are no-ops.
 func TestNilAndDisabledInstrumentsAreNoOps(t *testing.T) {
-	for name, reg := range map[string]*Registry{"nil": nil, "disabled": Disabled()} {
-		c := reg.Counter("gm", 0, "sends")
-		g := reg.Gauge("lanai", 0, "inuse")
-		h := reg.Histogram("core", 0, "latency_ns")
-		if c != nil || g != nil || h != nil {
-			t.Fatalf("%s registry handed out live instruments", name)
-		}
-		c.Inc()
-		c.Add(5)
-		c.AddInt(7)
-		g.Set(3)
-		g.Add(-1)
-		h.Observe(42)
-		if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 {
-			t.Fatalf("%s instruments accumulated state", name)
-		}
-		if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
-			t.Fatalf("%s registry produced a non-empty snapshot", name)
-		}
+	var reg *Registry
+	c := reg.Counter("gm", 0, "sends")
+	g := reg.Gauge("lanai", 0, "inuse")
+	h := reg.Histogram("core", 0, "latency_ns")
+	if c != nil || g != nil || h != nil {
+		t.Fatal("nil registry handed out live instruments")
+	}
+	c.Inc()
+	c.Add(5)
+	c.AddInt(7)
+	g.Set(3)
+	g.Add(-1)
+	h.Observe(42)
+	if c.Value() != 0 || g.Value() != 0 || g.High() != 0 || h.Count() != 0 {
+		t.Fatal("nil instruments accumulated state")
+	}
+	if snap := reg.Snapshot(); len(snap.Counters)+len(snap.Gauges)+len(snap.Histograms) != 0 {
+		t.Fatal("nil registry produced a non-empty snapshot")
 	}
 }
 
@@ -173,20 +174,5 @@ func TestSnapshotRendering(t *testing.T) {
 	}
 	if back.Counters[0].Value != 1500 || back.Counters[0].Component != "lanai" {
 		t.Fatalf("round-tripped counter = %+v", back.Counters[0])
-	}
-}
-
-func TestEnsure(t *testing.T) {
-	r := New()
-	if Ensure(r) != r {
-		t.Fatal("Ensure replaced a live registry")
-	}
-	e := Ensure(nil)
-	if !e.Enabled() {
-		t.Fatal("Ensure(nil) returned a dead registry")
-	}
-	d := Disabled()
-	if Ensure(d) != d {
-		t.Fatal("Ensure replaced a disabled registry (explicit no-op must stick)")
 	}
 }

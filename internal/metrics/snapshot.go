@@ -50,13 +50,13 @@ type Snapshot struct {
 	Histograms []HistVal    `json:"histograms"`
 }
 
-// Snapshot copies the registry's current instrument values. A nil or
-// disabled registry yields an empty snapshot. Snapshot between runs, not
+// Snapshot copies the registry's current instrument values. A nil registry
+// yields an empty snapshot. Snapshot between runs, not
 // while shard goroutines are mid-window — a mid-run snapshot is race-free
 // but may catch an arbitrary interleaving.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
-	if !r.Enabled() {
+	if r == nil {
 		return s
 	}
 	r.mu.Lock()

@@ -339,8 +339,8 @@ func TestWireEnvelopeRoundTrip(t *testing.T) {
 }
 
 func TestTreeEncodingRoundTrip(t *testing.T) {
-	cfg := cluster.DefaultConfig(16)
-	tr := cfg.OptimalTree(3, cluster.NewFromConfig(cfg).Members(), 256)
+	c := cluster.New(16)
+	tr := c.Cfg.OptimalTree(3, c.Members(), 256)
 	enc := encodeTree(77, tr)
 	gid, back := decodeTree(enc)
 	if gid != 77 {

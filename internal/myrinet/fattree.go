@@ -125,6 +125,5 @@ func NewFatTree(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 			hostDown[dst],
 		}
 	})
-	n.SetMetrics(nil)
 	return n
 }

@@ -21,24 +21,11 @@ import (
 type (
 	NodeID     = fabric.NodeID
 	Packet     = fabric.Packet
-	Stats      = fabric.Stats
 	LinkParams = fabric.LinkParams
 	Link       = fabric.Link
 	Iface      = fabric.Iface
 	Network    = fabric.Network
 	Plan       = fabric.Plan
-)
-
-// Component is the metrics component name for the fabric layer.
-//
-// Deprecated: use fabric.Component.
-const Component = fabric.Component
-
-// Deprecated: use the fabric package's sentinels; these aliases are the
-// same error values, so errors.Is works against either name.
-var (
-	ErrLossRateWithoutRNG = fabric.ErrLossRateWithoutRNG
-	ErrBadLossRate        = fabric.ErrBadLossRate
 )
 
 // DefaultLinkParams returns Myrinet-2000-like link characteristics:

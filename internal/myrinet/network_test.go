@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -172,6 +174,8 @@ func TestAutoTopology(t *testing.T) {
 
 func TestLossRateDropsPackets(t *testing.T) {
 	eng, n := testNet(t, 2)
+	reg := metrics.New()
+	n.SetMetrics(reg)
 	n.SetRNG(sim.NewRNG(1))
 	n.LossRate = 0.5
 	delivered := 0
@@ -183,12 +187,15 @@ func TestLossRateDropsPackets(t *testing.T) {
 		}
 	})
 	eng.Run()
-	st := n.Stats()
-	if st.Injected != sent {
-		t.Fatalf("injected %d, want %d", st.Injected, sent)
+	snap := reg.Snapshot()
+	injected := snap.Counter(fabric.Component, metrics.NodeFabric, "injected")
+	got := snap.Counter(fabric.Component, metrics.NodeFabric, "delivered")
+	dropped := snap.Counter(fabric.Component, metrics.NodeFabric, "dropped")
+	if injected != sent {
+		t.Fatalf("injected %d, want %d", injected, sent)
 	}
-	if st.Delivered+st.Dropped != sent {
-		t.Fatalf("delivered %d + dropped %d != %d", st.Delivered, st.Dropped, sent)
+	if got+dropped != sent {
+		t.Fatalf("delivered %d + dropped %d != %d", got, dropped, sent)
 	}
 	// Per-link loss 0.5 over 2 hops => ~25% survival.
 	if delivered < 150 || delivered > 350 {

@@ -4,6 +4,8 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/fabric"
+	"repro/internal/metrics"
 	"repro/internal/myrinet"
 	"repro/internal/sim"
 )
@@ -101,6 +103,8 @@ func TestPartitionLookahead(t *testing.T) {
 func TestCrossShardHandoffAllocs(t *testing.T) {
 	e0, e1 := sim.NewEngine(), sim.NewEngine()
 	net := myrinet.NewClos(e0, 8, 4, myrinet.DefaultLinkParams())
+	reg := metrics.New()
+	net.SetMetrics(reg)
 	plan := net.Partition(2)
 	net.ApplyPlan(plan, []*sim.Engine{e0, e1})
 	for i := 0; i < 8; i++ {
@@ -145,7 +149,7 @@ func TestCrossShardHandoffAllocs(t *testing.T) {
 	if avg := testing.AllocsPerRun(100, cycle); avg != 0 {
 		t.Fatalf("cross-shard handoff allocates %.2f per packet, want 0", avg)
 	}
-	if net.Stats().Delivered == 0 {
+	if reg.Snapshot().Counter(fabric.Component, metrics.NodeFabric, "delivered") == 0 {
 		t.Fatal("no packets delivered — cycle is not exercising the path")
 	}
 }

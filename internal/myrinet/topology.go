@@ -68,7 +68,6 @@ func NewClos(eng *sim.Engine, hosts, ports int, params LinkParams) *Network {
 		spine := (int(src)*31 + int(dst)) % spines
 		return []*Link{hostUp[src], up[sl][spine], down[spine][dl], hostDown[dst]}
 	})
-	n.SetMetrics(nil)
 	return n
 }
 

@@ -5,6 +5,9 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
+	"repro/internal/gm"
+	"repro/internal/lanai"
+	"repro/internal/metrics"
 	"repro/internal/sim"
 )
 
@@ -33,10 +36,17 @@ func Run(cfg *cluster.Config, spec Spec) (Report, error) {
 
 // RunWith is Run with a callback invoked after the cluster is built and
 // before any process spawns or event fires — engine-equivalence tests
-// attach fire hooks here; nil behaves exactly like Run.
+// attach fire hooks here; nil behaves exactly like Run. The report's
+// retransmission and rx-buffer-drop totals come from cfg's metrics
+// registry, or from a private one when cfg wires none.
 func RunWith(cfg *cluster.Config, spec Spec, attach func(*cluster.Cluster)) (Report, error) {
 	spec.Nodes = cfg.Nodes
-	c := cluster.NewFromConfig(cfg)
+	reg := cfg.Metrics
+	if reg == nil {
+		reg = metrics.New()
+	}
+	before := reg.Snapshot()
+	c := cluster.New(cfg.Nodes, cluster.WithConfig(cfg), cluster.WithMetrics(reg))
 	if attach != nil {
 		attach(c)
 	}
@@ -128,9 +138,10 @@ func RunWith(cfg *cluster.Config, spec Spec, attach func(*cluster.Cluster)) (Rep
 		rep.MeanLatencyUs = sum.Micros() / float64(count)
 		rep.MaxLatencyUs = worst.Micros()
 	}
+	snap := reg.Snapshot().Diff(before)
+	rep.Retransmits = snap.CounterSum(gm.Component, "retransmits")
+	rep.RxNoBuffer = snap.CounterSum(lanai.Component, "rx_nobuffer")
 	for _, n := range c.Nodes {
-		rep.Retransmits += n.NIC.Stats().Retransmits
-		rep.RxNoBuffer += n.HW.Stats().RxNoBuffer
 		if u := n.HW.CPU.Utilization(); u > rep.MaxCPUUtil {
 			rep.MaxCPUUtil = u
 		}
