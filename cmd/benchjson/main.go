@@ -90,8 +90,14 @@ type mcastPoint struct {
 	// AckEvery > 0 marks an ack-economy point: the storm ran with
 	// cumulative acks every AckEvery packets, piggybacking, and NIC tree
 	// ack aggregation (serial only). 0 is the pinned per-packet default.
-	AckEvery   int     `json:"ack_every,omitempty"`
+	AckEvery int `json:"ack_every,omitempty"`
+	// SecPerRun is the whole run's wall time: the sum of its phases,
+	// building the cluster, installing the group (tree build, install
+	// call, run to quiescence) and simulating the multicasts.
 	SecPerRun  float64 `json:"sec_per_run"`
+	BuildSec   float64 `json:"build_sec"`
+	InstallSec float64 `json:"install_sec"`
+	SimSec     float64 `json:"sim_sec"`
 	VirtualNs  int64   `json:"virtual_ns"`
 	GOMAXPROCS int     `json:"gomaxprocs"`
 	NumCPU     int     `json:"num_cpu"`
@@ -205,19 +211,16 @@ func compare(legacy, current benchResult) comparison {
 // number. ackEvery > 0 runs the serial ack-economy variant instead
 // (coalescing every ackEvery packets + piggyback + tree aggregation).
 func stormPoint(fc fabric.Config, nodes, shards, msgs, size, ackEvery int) mcastPoint {
-	best := time.Duration(0)
+	var best benchkernel.StormPhases
 	var virt sim.Time
 	for i := 0; i < 2; i++ {
-		start := time.Now()
-		if ackEvery > 0 {
-			virt = benchkernel.MulticastStormEconomy(fc, nodes, msgs, size, ackEvery)
-		} else {
-			virt = benchkernel.MulticastStormOn(fc, nodes, shards, msgs, size)
-		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
+		var ph benchkernel.StormPhases
+		virt, ph = benchkernel.MulticastStormPhases(fc, nodes, shards, msgs, size, ackEvery)
+		if i == 0 || ph.Total() < best.Total() {
+			best = ph
 		}
 	}
+	build, install, simSec := best.Build.Seconds(), best.Install.Seconds(), best.Sim.Seconds()
 	return mcastPoint{
 		Fabric:     fc.Kind,
 		Nodes:      nodes,
@@ -225,7 +228,10 @@ func stormPoint(fc fabric.Config, nodes, shards, msgs, size, ackEvery int) mcast
 		Msgs:       msgs,
 		SizeBytes:  size,
 		AckEvery:   ackEvery,
-		SecPerRun:  best.Seconds(),
+		SecPerRun:  build + install + simSec,
+		BuildSec:   build,
+		InstallSec: install,
+		SimSec:     simSec,
 		VirtualNs:  int64(virt),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		NumCPU:     runtime.NumCPU(),
@@ -329,8 +335,8 @@ func check(path string, tol, stormTol float64) {
 		if g.AckEvery > 0 {
 			mode = fmt.Sprintf("serial ack-every=%d", g.AckEvery)
 		}
-		fmt.Printf("multicast storm %s %d nodes %s: %.3fs/run (baseline %.3fs, limit %.3fs)\n",
-			g.Fabric, g.Nodes, mode, np.SecPerRun, g.SecPerRun, stormLimit)
+		fmt.Printf("multicast storm %s %d nodes %s: %.3fs/run = %.3f build + %.3f install + %.3f sim (baseline %.3fs, limit %.3fs)\n",
+			g.Fabric, g.Nodes, mode, np.SecPerRun, np.BuildSec, np.InstallSec, np.SimSec, g.SecPerRun, stormLimit)
 		if np.SecPerRun > stormLimit {
 			fmt.Fprintf(os.Stderr, "benchjson: multicast storm (ack_every=%d) regressed %.0f%% (%.3fs -> %.3fs per run, tolerance %.0f%%)\n",
 				g.AckEvery, 100*(np.SecPerRun/g.SecPerRun-1), g.SecPerRun, np.SecPerRun, 100*stormTol)
@@ -432,16 +438,17 @@ func main() {
 		sec := &mcastSection{
 			NumCPU:     runtime.NumCPU(),
 			GOMAXPROCS: runtime.GOMAXPROCS(0),
-			Note: "sec_per_run is one full run: cluster build + group install + msgs " +
-				"multicasts; matching virtual_ns across shard counts certifies identical " +
+			Note: "sec_per_run is one full run, the sum of build_sec (cluster build), " +
+				"install_sec (tree build + group install + run to quiescence) and sim_sec " +
+				"(msgs multicasts); matching virtual_ns across shard counts certifies identical " +
 				"computations. speedup_serial_vs_4shard is only recorded when measured " +
 				"with >= 4 free cores (see speedup_validity); on fewer cores sharded " +
 				"wall times record conservative-sync overhead, not parallel gain.",
 		}
 		show := func(p mcastPoint) {
 			sec.Points = append(sec.Points, p)
-			fmt.Printf("multicast storm %s %d nodes / %d shards: %.2fs (virtual %s, GOMAXPROCS %d)\n",
-				p.Fabric, p.Nodes, p.Shards, p.SecPerRun, sim.Time(p.VirtualNs), p.GOMAXPROCS)
+			fmt.Printf("multicast storm %s %d nodes / %d shards: %.2fs = %.3f build + %.3f install + %.3f sim (virtual %s, GOMAXPROCS %d)\n",
+				p.Fabric, p.Nodes, p.Shards, p.SecPerRun, p.BuildSec, p.InstallSec, p.SimSec, sim.Time(p.VirtualNs), p.GOMAXPROCS)
 		}
 		var serialSec, shardSec float64
 		for _, shards := range []int{1, 2, 4} {

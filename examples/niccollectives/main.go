@@ -42,8 +42,9 @@ func main() {
 func nicBarrier() float64 {
 	c := cluster.New(nodes)
 	ports := c.OpenPorts(port)
+	members := c.Members()
 	for _, n := range c.Nodes {
-		n.Coll.Install(groupID, c.Members(), port, nil)
+		n.Coll.Install(groupID, members, port, nil)
 	}
 	var total sim.Time
 	for i := 0; i < nodes; i++ {

@@ -7,6 +7,7 @@ package benchkernel
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
@@ -162,22 +163,39 @@ func MulticastStormOn(fc fabric.Config, nodes, shards, msgs, size int) sim.Time 
 // windows, and wall-clock barrier-wait accounting. A serial run (shards <=
 // 1) returns a zero ShardStats.
 func MulticastStormStats(fc fabric.Config, nodes, shards, msgs, size int) (sim.Time, sim.ShardStats) {
-	return stormRun(fc, nodes, shards, msgs, size, nil)
+	virt, st, _ := stormRun(fc, nodes, shards, msgs, size, nil)
+	return virt, st
 }
 
-// MulticastStormEconomy runs the storm serially with the full ack economy
-// enabled — cumulative acks every `every` packets held for up to
-// AckEconomyDelay, piggybacking, and NIC tree ack aggregation — and
-// returns the final virtual clock. The delay is a package constant rather
-// than a parameter so cmd/benchjson's generation and -check paths can
-// never disagree about what timeline an ack-on baseline point pins.
-func MulticastStormEconomy(fc fabric.Config, nodes, msgs, size, every int) sim.Time {
-	virt, _ := stormRun(fc, nodes, 1, msgs, size, []cluster.Option{
-		cluster.WithAckCoalescing(every, AckEconomyDelay),
-		cluster.WithPiggybackAcks(),
-		cluster.WithAckAggregation(),
-	})
-	return virt
+// StormPhases is the wall time of one storm run, split by phase.
+type StormPhases struct {
+	Build   time.Duration // cluster construction and port opening
+	Install time.Duration // tree build, group install, run to quiescence
+	Sim     time.Duration // the multicasts themselves
+}
+
+// Total is the wall time of the whole run.
+func (p StormPhases) Total() time.Duration { return p.Build + p.Install + p.Sim }
+
+// MulticastStormPhases is MulticastStormOn returning the wall time of each
+// phase as well. With ackEvery > 0 it runs serially with the full ack
+// economy enabled instead — cumulative acks every ackEvery packets held
+// for up to AckEconomyDelay, piggybacking, and NIC tree ack aggregation.
+// The delay is a package constant rather than a parameter so
+// cmd/benchjson's generation and -check paths can never disagree about
+// what timeline an ack-on baseline point pins.
+func MulticastStormPhases(fc fabric.Config, nodes, shards, msgs, size, ackEvery int) (sim.Time, StormPhases) {
+	var extra []cluster.Option
+	if ackEvery > 0 {
+		shards = 1
+		extra = []cluster.Option{
+			cluster.WithAckCoalescing(ackEvery, AckEconomyDelay),
+			cluster.WithPiggybackAcks(),
+			cluster.WithAckAggregation(),
+		}
+	}
+	virt, _, ph := stormRun(fc, nodes, shards, msgs, size, extra)
+	return virt, ph
 }
 
 // AckEconomyDelay is the delayed-ack hold used by the ack-on storm points:
@@ -193,11 +211,17 @@ const AckEconomyDelay = 2 * sim.Millisecond
 func MulticastStormCounters(fc fabric.Config, nodes, msgs, size int, extra ...cluster.Option) (sim.Time, metrics.Snapshot) {
 	reg := metrics.New()
 	opts := append([]cluster.Option{cluster.WithMetrics(reg)}, extra...)
-	virt, _ := stormRun(fc, nodes, 1, msgs, size, opts)
+	virt, _, _ := stormRun(fc, nodes, 1, msgs, size, opts)
 	return virt, reg.Snapshot()
 }
 
-func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.Option) (sim.Time, sim.ShardStats) {
+func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.Option) (sim.Time, sim.ShardStats, StormPhases) {
+	var ph StormPhases
+	mark := time.Now()
+	lap := func(d *time.Duration) {
+		now := time.Now()
+		*d, mark = now.Sub(mark), now
+	}
 	opts := []cluster.Option{cluster.WithShards(shards), cluster.WithSeed(1)}
 	if fc.Valid() {
 		opts = append(opts, cluster.WithFabric(fc))
@@ -205,6 +229,7 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 	opts = append(opts, extra...)
 	c := cluster.New(nodes, opts...)
 	ports := c.OpenPorts(mcastPort)
+	lap(&ph.Build)
 	ready := c.InstallGroup(mcastGroup, tree.Binomial(0, c.Members()), mcastPort, mcastPort)
 	for i := 1; i < nodes; i++ {
 		port := ports[i]
@@ -221,6 +246,7 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 	if !ready() {
 		panic("benchkernel: group install incomplete after quiescence")
 	}
+	lap(&ph.Install)
 	payload := make([]byte, size)
 	c.SpawnOn(0, "root", func(p *sim.Proc) {
 		ext := c.Nodes[0].Ext
@@ -235,7 +261,8 @@ func stormRun(fc fabric.Config, nodes, shards, msgs, size int, extra []cluster.O
 		st = sh.Stats()
 	}
 	c.Kill()
-	return end, st
+	lap(&ph.Sim)
+	return end, st, ph
 }
 
 // MulticastStorm returns a benchmark body whose iteration is one full

@@ -6,6 +6,7 @@
 package cluster
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"repro/internal/coll"
@@ -396,13 +397,17 @@ func (c *Cluster) InstallGroup(id gm.GroupID, tr *tree.Tree, port, rootPort gm.P
 // InstallCollGroup installs a collective group over every listed member's
 // collective engine. Like InstallGroup, installation is asynchronous
 // firmware work; poll the returned ready function only from outside a run.
+// The member list is copied and sorted once, and every NIC's entry shares
+// that one slice.
 func (c *Cluster) InstallCollGroup(id gm.GroupID, members []fabric.NodeID, port gm.PortID, opts ...coll.Option) (ready func() bool) {
 	total := int64(len(members))
 	done := new(atomic.Int64)
+	sorted := slices.Clone(members)
+	slices.Sort(sorted)
 	for _, n := range members {
 		n := n
 		c.WithNode(n, func() {
-			c.Nodes[n].Coll.Install(id, members, port, func() { done.Add(1) }, opts...)
+			c.Nodes[n].Coll.Install(id, sorted, port, func() { done.Add(1) }, opts...)
 		})
 	}
 	return func() bool { return done.Load() == total }

@@ -2,6 +2,7 @@ package coll
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
@@ -100,6 +101,26 @@ func (g *Group) advanceBarrier() {
 	if g.barRound == g.rounds {
 		g.completeBarrier()
 	}
+}
+
+// binomialNeighbours returns member i's parent and children in the
+// binomial tree tree.Binomial builds over the sorted member list ms,
+// rooted at ms[0]: the parent of index i clears i's lowest set bit, and
+// its children sit at i+s for each power of two s below that bit, largest
+// stride first. The root is its own parent. Computing one neighbourhood
+// costs O(log n), where building the whole tree on every NIC would make a
+// group install O(n²).
+func binomialNeighbours(ms []fabric.NodeID, i int) (parent fabric.NodeID, children []fabric.NodeID) {
+	top := i & -i
+	if i == 0 { // the root has no set bit: every stride below n is its own
+		top = 1 << bits.Len(uint(len(ms)-1))
+	}
+	for s := top >> 1; s > 0; s >>= 1 {
+		if i+s < len(ms) {
+			children = append(children, ms[i+s])
+		}
+	}
+	return ms[i&(i-1)], children
 }
 
 // tryTreeUp sends this subtree's arrival up once every child has arrived

@@ -30,13 +30,12 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/core"
 	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/sim"
-	"repro/internal/tree"
 )
 
 // Sentinel errors for collective misuse; like core's, they surface as
@@ -241,16 +240,18 @@ func (e *Engine) DebugLeaks() string {
 // require a multicast group with the same id installed via
 // core.Ext.InstallGroup. port receives the group's completion events. fn,
 // if non-nil, runs (in firmware context) when the entry is live.
+//
+// An already-sorted members slice is retained, not copied, so one list
+// can serve every NIC of a group; the caller must not modify it
+// afterwards. An unsorted list is copied and sorted.
 func (e *Engine) Install(id gm.GroupID, members []fabric.NodeID, port gm.PortID, fn func(), opts ...Option) {
-	ms := append([]fabric.NodeID(nil), members...)
-	sort.Slice(ms, func(i, j int) bool { return ms[i] < ms[j] })
-	myIdx := -1
-	for i, m := range ms {
-		if m == e.nic.ID() {
-			myIdx = i
-		}
+	ms := members
+	if !slices.IsSorted(ms) {
+		ms = slices.Clone(members)
+		slices.Sort(ms)
 	}
-	if myIdx < 0 {
+	myIdx, found := slices.BinarySearch(ms, e.nic.ID())
+	if !found {
 		panic(fmt.Errorf("%w: node %v installing collective group %d", core.ErrNotMember, e.nic.ID(), id))
 	}
 	rounds := 0
@@ -275,14 +276,7 @@ func (e *Engine) Install(id gm.GroupID, members []fabric.NodeID, port gm.PortID,
 				opt(g)
 			}
 			if g.barrierAlgo == BarrierTree {
-				tr := tree.Binomial(ms[0], ms)
-				self := e.nic.ID()
-				g.barChildren = append([]fabric.NodeID(nil), tr.Children(self)...)
-				if p, ok := tr.Parent(self); ok {
-					g.barParent = p
-				} else {
-					g.barParent = self
-				}
+				g.barParent, g.barChildren = binomialNeighbours(ms, myIdx)
 			}
 			if fn != nil {
 				fn()

@@ -1,10 +1,12 @@
 package coll_test
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/coll"
+	"repro/internal/fabric"
 	"repro/internal/gm"
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -314,5 +316,36 @@ func TestShardedBarrierMatchesSerial(t *testing.T) {
 		if got := run(shards); got != serial {
 			t.Errorf("%d-shard barrier finished at %v, serial at %v", shards, got, serial)
 		}
+	}
+}
+
+// An unsorted, non-contiguous member list works through both install
+// paths — sorted once and shared by InstallCollGroup, copied and sorted
+// per NIC by a direct Install — and the caller's slice is left as given.
+func TestInstallUnsortedMembers(t *testing.T) {
+	const gShared, gDirect gm.GroupID = 1, 2
+	members := []fabric.NodeID{6, 1, 4, 2, 7}
+	given := slices.Clone(members)
+	c := cluster.New(8)
+	ports := c.OpenPorts(7)
+	ready := c.InstallCollGroup(gShared, members, 7, coll.WithBarrierAlgo(coll.BarrierTree))
+	for _, n := range members {
+		c.Nodes[n].Coll.Install(gDirect, members, 7, nil, coll.WithBarrierAlgo(coll.BarrierTree))
+	}
+	c.Run()
+	if !ready() {
+		t.Fatal("collective group installation did not settle")
+	}
+	for _, n := range members {
+		n := n
+		c.SpawnOn(n, "p", func(p *sim.Proc) {
+			c.Nodes[n].Coll.Barrier(p, ports[n], gShared)
+			c.Nodes[n].Coll.Barrier(p, ports[n], gDirect)
+		})
+	}
+	c.Run()
+	checkClean(t, c)
+	if !slices.Equal(members, given) {
+		t.Errorf("member list modified by install: %v, want %v", members, given)
 	}
 }

@@ -49,6 +49,25 @@ func TestErrInvalidTree(t *testing.T) {
 	}
 }
 
+func TestErrInvalidTreeEpochPaths(t *testing.T) {
+	c := cluster.New(4)
+	// 2 and 3 name each other as parents: disconnected from the root.
+	bad := tree.FromParents(0, map[fabric.NodeID]fabric.NodeID{1: 0, 2: 3, 3: 2})
+	for name, install := range map[string]func(){
+		"InstallGroupEpoch": func() { c.Nodes[1].Ext.InstallGroupEpoch(9, bad, 1, 1, 3, nil) },
+		"PrepareGroupEpoch": func() { c.Nodes[1].Ext.PrepareGroupEpoch(9, bad, 1, 1, 3, nil) },
+	} {
+		if err := recoverErr(t, install); !errors.Is(err, core.ErrInvalidTree) {
+			t.Errorf("%s: got %v, want ErrInvalidTree", name, err)
+		}
+	}
+	// Refused before any firmware work was posted.
+	c.Eng.Run()
+	if n := c.Nodes[1].Ext.Groups(); n != 0 {
+		t.Errorf("invalid tree left %d group entries", n)
+	}
+}
+
 // Misuse detected inside the simulated firmware (HostPost/CPUDo callbacks)
 // panics out of Engine.Run rather than the posting call; these tests
 // recover at the Run boundary.

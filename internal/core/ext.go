@@ -130,9 +130,7 @@ func (e *Ext) InstallGroup(id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortI
 // subsystem (internal/member), whose later updates arrive through
 // PrepareGroupEpoch/CommitGroupEpoch. Static groups use epoch 0.
 func (e *Ext) InstallGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID, epoch uint32, fn func()) {
-	if err := tr.Validate(); err != nil {
-		panic(fmt.Errorf("%w: group %d: %v", ErrInvalidTree, id, err))
-	}
+	mustBeValid(id, tr)
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {
 			if _, dup := e.groups[id]; dup {
@@ -148,6 +146,16 @@ func (e *Ext) InstallGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 	})
 }
 
+// mustBeValid refuses a tree that failed the check its constructor ran.
+// The host checks each tree once, when it builds it; a NIC only reads the
+// recorded verdict and copies its own neighbourhood, so installing a group
+// over N NICs costs O(N), not O(N²).
+func mustBeValid(id gm.GroupID, tr *tree.Tree) {
+	if err := tr.Err(); err != nil {
+		panic(fmt.Errorf("%w: group %d: %v", ErrInvalidTree, id, err))
+	}
+}
+
 // PrepareGroupEpoch stages the next epoch's view of a group without
 // activating it — phase one of the two-phase membership roll. A nil tree
 // stages this node's departure. On a NIC without an entry (a joining
@@ -158,9 +166,7 @@ func (e *Ext) InstallGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.
 // the table.
 func (e *Ext) PrepareGroupEpoch(id gm.GroupID, tr *tree.Tree, port, rootPort gm.PortID, epoch uint32, fn func()) {
 	if tr != nil {
-		if err := tr.Validate(); err != nil {
-			panic(fmt.Errorf("%w: group %d: %v", ErrInvalidTree, id, err))
-		}
+		mustBeValid(id, tr)
 	}
 	e.nic.HW.HostPost(func() {
 		e.nic.HW.CPUDo(e.cfg.GroupInstallCost, func() {

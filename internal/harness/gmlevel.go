@@ -295,8 +295,9 @@ func membersOf(n int) []fabric.NodeID {
 func (o Options) NICBarrier(nodes int) float64 {
 	c := o.newCluster(nodes)
 	ports := c.OpenPorts(benchPort)
+	members := c.Members()
 	for _, n := range c.Nodes {
-		n.Coll.Install(gmGroup, c.Members(), benchPort, nil)
+		n.Coll.Install(gmGroup, members, benchPort, nil)
 	}
 	total := o.Warmup + o.Iters
 	var avg float64

@@ -17,12 +17,15 @@ import (
 )
 
 // Tree is a rooted multicast spanning tree. Children of each node are
-// ordered: the first child is sent to first.
+// ordered: the first child is sent to first. A tree is immutable once
+// built, so the host checks it once, when it builds it, and every NIC
+// that installs it reads that verdict instead of checking it again.
 type Tree struct {
 	Root     fabric.NodeID
 	children map[fabric.NodeID][]fabric.NodeID
 	parent   map[fabric.NodeID]fabric.NodeID
 	nodes    []fabric.NodeID // all members, root first, then sorted
+	err      error           // Validate's verdict, recorded by the constructor
 }
 
 func newTree(root fabric.NodeID, dests []fabric.NodeID) *Tree {
@@ -53,6 +56,13 @@ func sortedDests(root fabric.NodeID, members []fabric.NodeID) []fabric.NodeID {
 	}
 	sort.Slice(dests, func(i, j int) bool { return dests[i] < dests[j] })
 	return dests
+}
+
+// sealed records Validate's verdict on a finished tree; every constructor
+// returns through it.
+func (t *Tree) sealed() *Tree {
+	t.err = t.Validate()
+	return t
 }
 
 func (t *Tree) link(parent, child fabric.NodeID) {
@@ -112,10 +122,16 @@ func (t *Tree) Leaves() []fabric.NodeID {
 	return out
 }
 
+// Err reports the verdict Validate gave when the tree was built, in O(1).
+// Only FromParents, which decodes a parent relation off the wire, can
+// build a tree whose verdict is non-nil.
+func (t *Tree) Err() error { return t.err }
+
 // Validate checks structural soundness and the deadlock-avoidance
 // invariant: every member except the root has exactly one parent, the
 // graph is a single tree, and each child's network ID exceeds its parent's
-// unless the parent is the root.
+// unless the parent is the root. It checks from scratch in O(size); Err
+// reads the verdict the constructor recorded.
 func (t *Tree) Validate() error {
 	reached := map[fabric.NodeID]bool{}
 	var walk func(n fabric.NodeID) error
@@ -188,7 +204,7 @@ func Binomial(root fabric.NodeID, members []fabric.NodeID) *Tree {
 			cs[i], cs[j] = cs[j], cs[i]
 		}
 	}
-	return t
+	return t.sealed()
 }
 
 // Chain builds a linear pipeline tree (each node forwards to the next
@@ -201,7 +217,7 @@ func Chain(root fabric.NodeID, members []fabric.NodeID) *Tree {
 		t.link(prev, d)
 		prev = d
 	}
-	return t
+	return t.sealed()
 }
 
 // Flat builds a one-level tree: the root sends to every destination
@@ -212,7 +228,7 @@ func Flat(root fabric.NodeID, members []fabric.NodeID) *Tree {
 	for _, d := range dests {
 		t.link(root, d)
 	}
-	return t
+	return t.sealed()
 }
 
 // KAry builds a balanced k-ary tree over the sorted destinations in heap
@@ -236,7 +252,7 @@ func KAry(root fabric.NodeID, members []fabric.NodeID, k int) *Tree {
 	for i := 1; i < n; i++ {
 		t.link(at((i-1)/k), at(i))
 	}
-	return t
+	return t.sealed()
 }
 
 // FromParents rebuilds a tree from its parent relation, attaching each
@@ -260,7 +276,7 @@ func FromParents(root fabric.NodeID, parents map[fabric.NodeID]fabric.NodeID) *T
 		}
 		t.link(p, d)
 	}
-	return t
+	return t.sealed()
 }
 
 // Incremental rebuilds a spanning tree after membership churn, reusing
@@ -333,7 +349,7 @@ func Incremental(prev *Tree, root fabric.NodeID, members []fabric.NodeID, maxFan
 	for _, d := range dests { // ascending: children lists come out sorted
 		t.link(parents[d], d)
 	}
-	return t
+	return t.sealed()
 }
 
 // SharedEdges counts the parent→child edges two trees have in common —
@@ -429,5 +445,5 @@ func Optimal(root fabric.NodeID, members []fabric.NodeID, pp PostalParams) *Tree
 		heap.Push(h, s)
 		heap.Push(h, &sender{node: d, ready: emit + pp.Lambda, order: i + 1})
 	}
-	return t
+	return t.sealed()
 }
