@@ -22,8 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
@@ -48,47 +46,25 @@ func main() {
 	metricsJSON := flag.Bool("metrics-json", false, "emit the metrics report as JSON")
 	flag.Parse()
 
-	lib := chaos.Library()
+	campaign, name, width := chaos.Multicast, "chaos campaign", 18
+	listHint := "-list"
+	if *collMode {
+		campaign, name, width = chaos.Collective, "collective chaos campaign", 24
+		listHint = "-coll -list"
+	}
 	if *list {
-		if *collMode {
-			for _, sc := range chaos.CollLibrary() {
-				fmt.Printf("%-24s %s\n", sc.Name, sc.Desc)
-			}
-			return
-		}
-		for _, sc := range lib {
-			fmt.Printf("%-18s %s\n", sc.Name, sc.Desc)
+		for _, sc := range chaos.Library(campaign) {
+			fmt.Printf("%-*s %s\n", width, sc.Name, sc.Desc)
 		}
 		return
 	}
 
-	scenarios := lib
-	collScenarios := chaos.CollLibrary()
-	if *scenario != "" {
-		if *collMode {
-			collScenarios = collScenarios[:0:0]
-			for _, name := range strings.Split(*scenario, ",") {
-				sc, ok := chaos.FindColl(strings.TrimSpace(name))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "chaosbench: unknown collective scenario %q (use -coll -list)\n", name)
-					os.Exit(2)
-				}
-				collScenarios = append(collScenarios, sc)
-			}
-		} else {
-			scenarios = scenarios[:0:0]
-			for _, name := range strings.Split(*scenario, ",") {
-				sc, ok := chaos.Find(strings.TrimSpace(name))
-				if !ok {
-					fmt.Fprintf(os.Stderr, "chaosbench: unknown scenario %q (use -list)\n", name)
-					os.Exit(2)
-				}
-				scenarios = append(scenarios, sc)
-			}
-		}
+	scenarios, err := chaos.Select(campaign, *scenario)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "chaosbench: %v (use %s)\n", err, listHint)
+		os.Exit(2)
 	}
-
-	nodes, err := parseNodes(*nodeList)
+	nodes, err := harness.ParseInts(*nodeList, 2, "cluster size")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "chaosbench: %v\n", err)
 		os.Exit(2)
@@ -116,42 +92,17 @@ func main() {
 		rep.JSON = *metricsJSON
 	}
 
-	if *collMode {
-		results := o.CollChaosSweep(collScenarios, nodes, *rounds, *veclen)
-		title := fmt.Sprintf("collective chaos campaign: %d scenarios x %d cluster sizes, fabric %s, seed %d",
-			len(collScenarios), len(nodes), fc.Kind, *seed)
-		harness.WriteCollChaosTable(os.Stdout, title, results)
-		rep.Report(os.Stdout, "collective chaos campaign")
-
-		if n := harness.CollChaosFailures(results); n > 0 {
-			fmt.Fprintf(os.Stderr, "chaosbench: %d of %d campaign points FAILED\n", n, len(results))
-			os.Exit(1)
-		}
-		fmt.Printf("all %d campaign points passed\n", len(results))
-		return
-	}
-
-	results := o.ChaosSweep(scenarios, nodes, *msgs, *size)
-	title := fmt.Sprintf("chaos campaign: %d scenarios x %d cluster sizes, fabric %s, seed %d",
-		len(scenarios), len(nodes), fc.Kind, *seed)
-	harness.WriteChaosTable(os.Stdout, title, results)
-	rep.Report(os.Stdout, "chaos campaign")
+	results := o.ChaosSweep(scenarios, nodes, nil, chaos.Config{
+		Msgs: *msgs, Size: *size, Rounds: *rounds, Veclen: *veclen,
+	})
+	title := fmt.Sprintf("%s: %d scenarios x %d cluster sizes, fabric %s, seed %d",
+		name, len(scenarios), len(nodes), fc.Kind, *seed)
+	harness.WriteChaosTable(os.Stdout, title, campaign, results)
+	rep.Report(os.Stdout, name)
 
 	if n := harness.ChaosFailures(results); n > 0 {
 		fmt.Fprintf(os.Stderr, "chaosbench: %d of %d campaign points FAILED\n", n, len(results))
 		os.Exit(1)
 	}
 	fmt.Printf("all %d campaign points passed\n", len(results))
-}
-
-func parseNodes(s string) ([]int, error) {
-	var nodes []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad cluster size %q (want integers >= 2)", part)
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes, nil
 }

@@ -22,7 +22,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"repro/internal/harness"
@@ -62,7 +61,7 @@ func main() {
 
 	nodeCounts := harness.CollScaleNodeCounts()
 	if *nodesFlag != "" {
-		nodeCounts, err = parseNodes(*nodesFlag)
+		nodeCounts, err = harness.ParseInts(*nodesFlag, 2, "system size")
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "collbench: %v\n", err)
 			os.Exit(2)
@@ -111,16 +110,4 @@ func main() {
 	title := fmt.Sprintf("Collective latency: host-based (HB) vs NIC-resident engine (NB), veclen %d, fabric %s, %d iters, seed %d",
 		*veclen, fc.Kind, o.Iters, o.Seed)
 	harness.WriteCollScale(os.Stdout, title, pts)
-}
-
-func parseNodes(s string) ([]int, error) {
-	var nodes []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < 2 {
-			return nil, fmt.Errorf("bad system size %q (want integers >= 2)", part)
-		}
-		nodes = append(nodes, n)
-	}
-	return nodes, nil
 }

@@ -20,8 +20,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"repro/internal/chaos"
 	"repro/internal/harness"
@@ -43,33 +41,24 @@ func main() {
 	metricsJSON := flag.Bool("metrics-json", false, "emit the metrics report as JSON")
 	flag.Parse()
 
-	lib := chaos.MemberLibrary()
 	if *list {
-		for _, sc := range lib {
+		for _, sc := range chaos.Library(chaos.Membership) {
 			fmt.Printf("%-26s %s\n", sc.Name, sc.Desc)
 		}
 		return
 	}
 
-	scenarios := lib
-	if *scenario != "" {
-		scenarios = scenarios[:0:0]
-		for _, name := range strings.Split(*scenario, ",") {
-			sc, ok := chaos.FindMember(strings.TrimSpace(name))
-			if !ok {
-				fmt.Fprintf(os.Stderr, "memberbench: unknown scenario %q (use -list)\n", name)
-				os.Exit(2)
-			}
-			scenarios = append(scenarios, sc)
-		}
+	scenarios, err := chaos.Select(chaos.Membership, *scenario)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "memberbench: %v (use -list)\n", err)
+		os.Exit(2)
 	}
-
-	nodes, err := parseList(*nodeList, 2, "cluster size")
+	nodes, err := harness.ParseInts(*nodeList, 2, "cluster size")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memberbench: %v\n", err)
 		os.Exit(2)
 	}
-	transitions, err := parseList(*churnList, 1, "transition count")
+	transitions, err := harness.ParseInts(*churnList, 1, "transition count")
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "memberbench: %v\n", err)
 		os.Exit(2)
@@ -97,27 +86,15 @@ func main() {
 		rep.JSON = *metricsJSON
 	}
 
-	results := o.MemberSweep(scenarios, nodes, transitions, *msgs, *size)
+	results := o.ChaosSweep(scenarios, nodes, transitions, chaos.Config{Msgs: *msgs, Size: *size})
 	title := fmt.Sprintf("membership campaign: %d scenarios x %d cluster sizes x %d churn rates, fabric %s, seed %d",
 		len(scenarios), len(nodes), len(transitions), fc.Kind, *seed)
-	harness.WriteMemberTable(os.Stdout, title, results)
+	harness.WriteChaosTable(os.Stdout, title, chaos.Membership, results)
 	rep.Report(os.Stdout, "membership campaign")
 
-	if n := harness.MemberFailures(results); n > 0 {
+	if n := harness.ChaosFailures(results); n > 0 {
 		fmt.Fprintf(os.Stderr, "memberbench: %d of %d campaign points FAILED\n", n, len(results))
 		os.Exit(1)
 	}
 	fmt.Printf("all %d campaign points passed\n", len(results))
-}
-
-func parseList(s string, min int, what string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n < min {
-			return nil, fmt.Errorf("bad %s %q (want integers >= %d)", what, part, min)
-		}
-		out = append(out, n)
-	}
-	return out, nil
 }

@@ -24,10 +24,10 @@ func economyConfig() chaos.Config {
 // coalesced cumulative ack that is lost or delayed must never wedge the
 // go-back-N recovery machinery.
 func TestLibraryScenariosPassWithAckEconomy(t *testing.T) {
-	for _, sc := range chaos.Library() {
+	for _, sc := range chaos.Library(chaos.Multicast) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, economyConfig())
+			res := chaos.Run(sc, economyConfig())
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}
@@ -42,12 +42,12 @@ func TestLibraryScenariosPassWithAckEconomy(t *testing.T) {
 // timers and fused ack processing do not perturb the deterministic
 // schedule: the same seeded scenario must produce bit-identical results.
 func TestAckEconomyScenarioDeterminism(t *testing.T) {
-	sc, ok := chaos.Find("burst-loss")
+	sc, ok := chaos.Find(chaos.Multicast, "burst-loss")
 	if !ok {
 		t.Fatal("burst-loss scenario missing from library")
 	}
-	a := chaos.RunScenario(sc, economyConfig())
-	b := chaos.RunScenario(sc, economyConfig())
+	a := chaos.Run(sc, economyConfig())
+	b := chaos.Run(sc, economyConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results with ack economy:\n%+v\nvs\n%+v", a, b)
 	}
@@ -64,10 +64,32 @@ func TestAckEconomyScenarioDeterminism(t *testing.T) {
 func TestCollLibraryScenariosPassWithAckEconomy(t *testing.T) {
 	cfg := collTestConfig()
 	cfg.AckEvery = 4
-	for _, sc := range chaos.CollLibrary() {
+	for _, sc := range chaos.Library(chaos.Collective) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunCollScenario(sc, cfg)
+			res := chaos.Run(sc, cfg)
+			for _, v := range res.Violations {
+				t.Errorf("violation: %s", v)
+			}
+			if !res.Pass {
+				t.Fatalf("scenario %s failed the invariant checker with the ack economy on", sc.Name)
+			}
+		})
+	}
+}
+
+// TestMemberLibraryScenariosPassWithAckEconomy runs the membership churn
+// campaign with the ack economy on: epochs roll the group under faults
+// while coalesced, piggybacked and tree-aggregated acks carry the data
+// and control traffic. The membership invariant, timer hygiene and the
+// packet census must all hold exactly as with per-packet acks.
+func TestMemberLibraryScenariosPassWithAckEconomy(t *testing.T) {
+	cfg := memberConfig()
+	cfg.AckEvery = 4
+	for _, sc := range chaos.Library(chaos.Membership) {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			res := chaos.Run(sc, cfg)
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}

@@ -1,8 +1,8 @@
 package chaos
 
 import (
-	"bytes"
 	"fmt"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/fabric"
@@ -12,35 +12,69 @@ import (
 	"repro/internal/tree"
 )
 
-// Port and Group are the GM endpoint ids every campaign uses.
+// The GM endpoints every campaign uses. Data, multicast and collective
+// traffic share Port, the way internal/mpi multiplexes its port across
+// communicators; the membership protocol runs on CtrlPort.
 const (
-	Port  gm.PortID  = 1
+	Port     gm.PortID = 1
+	CtrlPort gm.PortID = 2
+
+	// Group is the multicast campaign's static group.
 	Group gm.GroupID = 1
+
+	// CollGroupTree pairs the dissemination barrier with the
+	// concatenate-and-forward tree allgather; CollGroupRing pairs the
+	// binomial tree barrier with the ring allgather. Alternating rounds
+	// between them puts every collective algorithm the engine implements
+	// under fire in one campaign.
+	CollGroupTree gm.GroupID = 1
+	CollGroupRing gm.GroupID = 2
 )
 
-// Config parameterizes one scenario run. The zero value gets sensible
-// campaign defaults from withDefaults.
-type Config struct {
-	// Nodes is the cluster size; Msgs multicast messages of Size bytes are
-	// streamed from node 0 down a Fanout-ary tree (fanout 2 guarantees
-	// interior forwarding nodes from 4 nodes up).
-	Nodes  int
-	Msgs   int
-	Size   int
-	Fanout int
+// fanout is the out-degree of every campaign's multicast trees: 2
+// guarantees interior forwarding nodes from 4 nodes up.
+const fanout = 2
 
-	// Seed feeds both the cluster RNG and (hashed with the scenario name)
-	// the injector RNG. Same seed, same scenario, same result — always.
+// Campaign names the workload a scenario's faults hit.
+type Campaign int
+
+const (
+	// Multicast streams Msgs messages of Size bytes from node 0 down a
+	// static binary tree.
+	Multicast Campaign = iota
+	// Collective runs Rounds rounds of barrier + allreduce + allgather
+	// over Veclen-element vectors on every node, alternating between the
+	// tree-algorithm and ring-algorithm groups.
+	Collective
+	// Membership streams Msgs payloads of mean size Size while a churn
+	// plan of Transitions join/leave requests rolls the group through
+	// epochs.
+	Membership
+)
+
+// Config parameterizes one scenario run. Zero fields get the campaign's
+// defaults; each campaign reads only the workload fields its doc names.
+type Config struct {
+	Nodes       int
+	Msgs        int
+	Size        int
+	Rounds      int
+	Veclen      int
+	Transitions int
+
+	// Seed feeds the cluster RNG, the membership churn plan, and (hashed
+	// with the scenario name) the injector RNG. Same seed, same scenario,
+	// same result — always.
 	Seed int64
 
-	// Deadline bounds the faulted run in virtual time; a protocol that has
-	// not quiesced by then failed to recover.
+	// Deadline bounds each run in virtual time; a protocol that has not
+	// quiesced by then failed to recover.
 	Deadline sim.Time
 
 	// Metrics, when non-nil, also receives the faulted run's instrument
 	// traffic (for -metrics reporting). The invariant checker always uses
-	// a private registry-backed snapshot diff, so this is optional — but a
-	// shared registry is unsynchronized, so it forces serial campaigns.
+	// a snapshot diff, so this is optional — but a shared registry is
+	// unsynchronized, so it forces serial campaigns.
 	Metrics *metrics.Registry
 
 	// Shards runs each scenario's clusters on a conservative parallel
@@ -56,40 +90,59 @@ type Config struct {
 	Fabric fabric.Config
 
 	// AckEvery > 1 runs every scenario with the full ack economy enabled
-	// (cumulative acks every AckEvery packets, piggybacking, and tree ack
-	// aggregation), proving the fault invariants hold with coalescing on.
-	// 0 or 1 keeps the per-packet ack default.
+	// (cumulative acks every AckEvery packets, piggybacking, tree ack
+	// aggregation, windowed gather), proving the fault invariants hold
+	// with coalescing on. 0 or 1 keeps the per-packet ack default.
 	AckEvery int
 }
 
-func (c Config) withDefaults() Config {
-	if c.Nodes <= 0 {
-		c.Nodes = 8
+// campaigns holds what differs between campaigns: the default workload
+// shape, the scenario library, and the setup that installs the workload
+// on a fresh cluster (an error means the cluster never became ready).
+// Churn runs outlast static ones (every transition is a cluster-wide
+// barrier), so the membership deadline is a full simulated second.
+var campaigns = [...]struct {
+	defaults Config
+	library  func() []Scenario
+	setup    func(c *cluster.Cluster, ccfg *cluster.Config, cfg Config) (*traffic, error)
+}{
+	Multicast: {Config{Nodes: 8, Msgs: 12, Size: 10000, Deadline: 500 * sim.Millisecond},
+		multicastLibrary, multicastSetup},
+	Collective: {Config{Nodes: 8, Rounds: 4, Veclen: 4, Deadline: 500 * sim.Millisecond},
+		collLibrary, collSetup},
+	Membership: {Config{Nodes: 8, Msgs: 20, Size: 4096, Transitions: 10, Deadline: sim.Second},
+		memberLibrary, memberSetup},
+}
+
+func (c Config) withDefaults(k Campaign) Config {
+	d := campaigns[k].defaults
+	def := func(v *int, d int) {
+		if *v <= 0 {
+			*v = d
+		}
 	}
-	if c.Msgs <= 0 {
-		c.Msgs = 12
-	}
-	if c.Size <= 0 {
-		c.Size = 10000
-	}
-	if c.Fanout <= 0 {
-		c.Fanout = 2
-	}
+	def(&c.Nodes, d.Nodes)
+	def(&c.Msgs, d.Msgs)
+	def(&c.Size, d.Size)
+	def(&c.Rounds, d.Rounds)
+	def(&c.Veclen, d.Veclen)
+	def(&c.Transitions, d.Transitions)
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
 	if c.Deadline <= 0 {
-		c.Deadline = 500 * sim.Millisecond
+		c.Deadline = d.Deadline
 	}
 	return c
 }
 
 // Scenario is one named fault script. Inject installs the faults; the
-// runner supplies the cluster, the multicast tree, and a seeded injector
+// runner supplies the cluster, the fault targets and a seeded injector
 // through the Fault context. A nil Inject is a fault-free baseline.
 type Scenario struct {
-	Name string
-	Desc string
+	Name     string
+	Desc     string
+	Campaign Campaign
 
 	// Nacks/Adaptive select the recovery configuration under test (fast
 	// recovery via nacks, RTT-adaptive timeouts).
@@ -103,8 +156,16 @@ type Scenario struct {
 type Fault struct {
 	Inj     *Injector
 	Cluster *cluster.Cluster
-	Tree    *tree.Tree
-	Cfg     Config
+
+	// Tree is the multicast campaign's static tree; nil for the
+	// collective and membership campaigns, whose trees are not a stable
+	// target (membership rebuilds its tree every epoch).
+	Tree *tree.Tree
+	// Root is the node rooting the campaign's traffic: the multicast
+	// root, the root of both collective trees, or the membership
+	// coordinator.
+	Root fabric.NodeID
+	Cfg  Config
 
 	// CleanSpan is the fault-free baseline's completion time on this exact
 	// cluster, measured by the run that always precedes fault injection.
@@ -135,12 +196,12 @@ func (f *Fault) InteriorNode() fabric.NodeID {
 	return f.LeafNode()
 }
 
-// RootSwitch returns the label of the switch the multicast root attaches
-// to — the fabric-generic spelling of "the crossbar goes dark" ("xbar0"
-// on a single-switch Myrinet fabric, "tor0" or a leaf on a Clos), so
+// RootSwitch returns the label of the switch the root attaches to — the
+// fabric-generic spelling of "the crossbar goes dark" ("xbar0" on a
+// single-switch Myrinet fabric, "tor0" or a leaf on a Clos), so
 // switch-outage scenarios bite on every backend.
 func (f *Fault) RootSwitch() string {
-	return f.Cluster.Net.Iface(f.Tree.Root).Uplink().ToLabel()
+	return f.Cluster.Net.Iface(f.Root).Uplink().ToLabel()
 }
 
 // LeafNode returns the last tree node without children — deterministic,
@@ -155,15 +216,58 @@ func (f *Fault) LeafNode() fabric.NodeID {
 	return nodes[len(nodes)-1]
 }
 
+// Library returns the campaign's scenario set, in fixed order. Campaigns
+// run all of them unless filtered.
+func Library(k Campaign) []Scenario {
+	lib := campaigns[k].library()
+	for i := range lib {
+		lib[i].Campaign = k
+	}
+	return lib
+}
+
+// Find returns the campaign's library scenario with the given name.
+func Find(k Campaign, name string) (Scenario, bool) {
+	for _, sc := range Library(k) {
+		if sc.Name == name {
+			return sc, true
+		}
+	}
+	return Scenario{}, false
+}
+
+// Select resolves a comma-separated list of the campaign's scenario
+// names, in list order; an empty list selects the whole library.
+func Select(k Campaign, names string) ([]Scenario, error) {
+	if names == "" {
+		return Library(k), nil
+	}
+	noun := "scenario"
+	if k == Collective {
+		noun = "collective scenario"
+	}
+	var out []Scenario
+	for _, name := range strings.Split(names, ",") {
+		sc, ok := Find(k, strings.TrimSpace(name))
+		if !ok {
+			return nil, fmt.Errorf("unknown %s %q", noun, name)
+		}
+		out = append(out, sc)
+	}
+	return out, nil
+}
+
 // Result is one scenario's verdict: the invariant violations (empty on
 // pass), recovery latency versus the fault-free baseline, and the fault
-// and recovery traffic observed.
+// and recovery traffic observed in the faulted run.
 type Result struct {
-	Scenario string
-	Desc     string
-	Nodes    int
-	Msgs     int
-	Size     int
+	Scenario    string
+	Desc        string
+	Nodes       int
+	Msgs        int
+	Size        int
+	Rounds      int
+	Transitions int
 
 	Pass       bool
 	Violations []string
@@ -174,8 +278,11 @@ type Result struct {
 	FaultFinish sim.Time
 	Recovery    sim.Time
 
-	// Fault-run traffic: fabric drops and duplicates, NIC-paused discards,
-	// receive-buffer overruns, and the protocol's recovery work.
+	// Fabric drops and duplicates, NIC-paused discards and receive-buffer
+	// overruns, and the protocol's recovery work. Retransmits sums every
+	// reliability layer (collective stop-and-wait, multicast tree,
+	// unicast); CollDups counts duplicate collective frames the engine
+	// rejected.
 	Drops       uint64
 	Dups        uint64
 	PausedDrops uint64
@@ -183,82 +290,65 @@ type Result struct {
 	Retransmits uint64
 	Timeouts    uint64
 	Nacks       uint64
+	CollDups    uint64
+
+	// Membership observations: committed epochs (including the finalize
+	// transition), rejected requests, and the epoch filters' rejections.
+	Epochs          int
+	Rejected        int
+	StaleEpochDrops uint64
+	FutureDrops     uint64
+	AckedAsDropped  uint64
 
 	// Rules reports per-fault-rule activation counts.
 	Rules []RuleHit
 }
 
-// RunScenario executes one scenario: a fault-free baseline run (for the
-// recovery-latency reference) and the faulted run, both checked against
-// the full invariant set.
-func RunScenario(sc Scenario, cfg Config) Result {
-	cfg = cfg.withDefaults()
+// Run executes one scenario of its campaign: a fault-free baseline run
+// (for the recovery-latency reference) and the faulted run on an
+// identically seeded cluster, both checked against the campaign's full
+// invariant set.
+func Run(sc Scenario, cfg Config) Result {
+	cfg = cfg.withDefaults(sc.Campaign)
 	clean := runOnce(sc, cfg, false, 0)
-	fault := runOnce(sc, cfg, true, clean.finish)
+	res := runOnce(sc, cfg, true, clean.FaultFinish)
 
-	res := Result{
-		Scenario:    sc.Name,
-		Desc:        sc.Desc,
-		Nodes:       cfg.Nodes,
-		Msgs:        cfg.Msgs,
-		Size:        cfg.Size,
-		CleanFinish: clean.finish,
-		FaultFinish: fault.finish,
-		Drops:       fault.drops,
-		Dups:        fault.dups,
-		PausedDrops: fault.pausedDrops,
-		RxNoBuffer:  fault.rxNoBuffer,
-		Retransmits: fault.retransmits,
-		Timeouts:    fault.timeouts,
-		Nacks:       fault.nacks,
-		Rules:       fault.rules,
-	}
+	res.Scenario, res.Desc = sc.Name, sc.Desc
+	res.Nodes, res.Msgs, res.Size = cfg.Nodes, cfg.Msgs, cfg.Size
+	res.Rounds, res.Transitions = cfg.Rounds, cfg.Transitions
+	res.CleanFinish = clean.FaultFinish
 	if res.FaultFinish > res.CleanFinish {
 		res.Recovery = res.FaultFinish - res.CleanFinish
 	}
-	for _, v := range clean.violations {
-		res.Violations = append(res.Violations, "baseline: "+v)
+	var viol []string
+	for _, v := range clean.Violations {
+		viol = append(viol, "baseline: "+v)
 	}
-	res.Violations = append(res.Violations, fault.violations...)
+	res.Violations = append(viol, res.Violations...)
 	res.Pass = len(res.Violations) == 0
 	return res
 }
 
-// outcome is one run's raw observations.
-type outcome struct {
-	finish     sim.Time
-	violations []string
-
-	drops, dups, pausedDrops, rxNoBuffer uint64
-	retransmits, timeouts, nacks         uint64
-	rules                                []RuleHit
+// traffic is one campaign's workload, installed on a fresh cluster by
+// the campaign's setup function and ready to run.
+type traffic struct {
+	// tree and root are what the scenario's faults aim at (Fault.Tree,
+	// Fault.Root).
+	tree *tree.Tree
+	root fabric.NodeID
+	// run drives the workload to quiescence or the deadline and returns
+	// its finish time.
+	run func() sim.Time
+	// check evaluates the campaign's invariant set on the finished run
+	// against its metrics diff, recording campaign observations in res.
+	check func(d metrics.Snapshot, res *Result) []string
 }
 
-// scenarioSeed mixes the campaign seed with an FNV-1a hash of the scenario
-// name so each scenario gets an independent but reproducible fault stream.
-func scenarioSeed(seed int64, name string) int64 {
-	h := uint64(1469598103934665603)
-	for i := 0; i < len(name); i++ {
-		h ^= uint64(name[i])
-		h *= 1099511628211
-	}
-	return seed ^ int64(h&0x7fffffffffffffff)
-}
-
-// Payload builds the deterministic byte pattern of message idx — receivers
-// recompute it to verify every byte arrived intact and in the right
-// message slot.
-func Payload(idx, size int) []byte {
-	b := make([]byte, size)
-	for i := range b {
-		b[i] = byte(idx*131 + i*29 + 7)
-	}
-	return b
-}
-
-// runOnce builds a fresh cluster, streams the multicast workload under the
-// scenario's faults (if faulted), and checks the invariant set.
-func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) outcome {
+// runOnce builds a fresh cluster, installs the campaign's workload and
+// (if faulted) the scenario's faults, runs it, and checks the invariant
+// set. The returned Result holds that one run's finish time, violations
+// and counters.
+func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) Result {
 	// The baseline always uses a private registry; the faulted run uses
 	// the caller's shared one when provided (counter diffs isolate it).
 	reg := cfg.Metrics
@@ -277,98 +367,85 @@ func runOnce(sc Scenario, cfg Config, faulted bool, cleanSpan sim.Time) outcome 
 	ccfg.GM.AdaptiveRTO = sc.Adaptive
 	cluster.WithAckEconomy(cfg.AckEvery)(ccfg)
 	c := cluster.New(ccfg.Nodes, cluster.WithConfig(ccfg))
-	ports := c.OpenPorts(Port)
-	tr := tree.KAry(0, c.Members(), cfg.Fanout)
-	c.InstallGroup(Group, tr, Port, Port)
+	defer c.Kill()
 
+	var res Result
+	t, err := campaigns[sc.Campaign].setup(c, ccfg, cfg)
+	if err != nil {
+		res.Violations = []string{err.Error()}
+		return res
+	}
 	var inj *Injector
 	if faulted && sc.Inject != nil {
-		inj = NewInjector(c.Net, scenarioSeed(cfg.Seed, sc.Name))
-		sc.Inject(&Fault{Inj: inj, Cluster: c, Tree: tr, Cfg: cfg, CleanSpan: cleanSpan})
+		inj = NewInjector(c.Net, ScenarioSeed(cfg.Seed, sc.Name))
+		sc.Inject(&Fault{Inj: inj, Cluster: c, Tree: t.tree, Root: t.root, Cfg: cfg, CleanSpan: cleanSpan})
 	}
-
-	msgs := make([][]byte, cfg.Msgs)
-	for i := range msgs {
-		msgs[i] = Payload(i, cfg.Size)
-	}
-
-	// Per-node violation lists, merged in node order after the run so the
-	// report is deterministic regardless of event interleaving.
-	nodeViol := make([][]string, cfg.Nodes)
-	finish := make([]sim.Time, cfg.Nodes)
-	for _, n := range tr.Nodes() {
-		if n == tr.Root {
-			continue
-		}
-		n := n
-		c.SpawnOn(n, "chaos-recv", func(p *sim.Proc) {
-			ports[n].ProvideN(cfg.Msgs, cfg.Size)
-			for i := 0; i < cfg.Msgs; i++ {
-				ev := ports[n].Recv(p)
-				if ev.MsgID != uint64(i+1) {
-					nodeViol[n] = append(nodeViol[n], fmt.Sprintf(
-						"node %d: delivery %d carried msg id %d — lost, duplicated, or reordered message",
-						n, i+1, ev.MsgID))
-				} else if !bytes.Equal(ev.Data, msgs[i]) {
-					nodeViol[n] = append(nodeViol[n], fmt.Sprintf(
-						"node %d: msg %d payload corrupted", n, i+1))
-				}
-			}
-			finish[n] = p.Now()
-		})
-	}
-	c.SpawnOn(tr.Root, "chaos-root", func(p *sim.Proc) {
-		ext := c.Nodes[0].Ext
-		for i := 0; i < cfg.Msgs; i++ {
-			ext.Mcast(p, ports[0], Group, msgs[i])
-		}
-		for i := 0; i < cfg.Msgs; i++ {
-			ports[0].WaitSendDone(p)
-		}
-		finish[0] = p.Now()
-	})
 
 	before := reg.Snapshot()
-	c.RunUntil(cfg.Deadline)
-
-	var out outcome
-	for _, t := range finish {
-		if t > out.finish {
-			out.finish = t
-		}
-	}
-	for _, vs := range nodeViol {
-		out.violations = append(out.violations, vs...)
-	}
-	out.violations = append(out.violations, checkQuiescence(c, cfg)...)
-	out.violations = append(out.violations, checkResources(c, ports, ccfg)...)
-
+	res.FaultFinish = t.run()
 	d := reg.Snapshot().Diff(before)
-	out.violations = append(out.violations, checkAccounting(d, cfg, ccfg)...)
-	out.drops = d.CounterSum("net", "dropped")
-	out.dups = d.CounterSum("net", "duplicated")
-	out.pausedDrops = d.CounterSum("lanai", "rx_paused_drops")
-	out.rxNoBuffer = d.CounterSum("lanai", "rx_nobuffer")
-	out.retransmits = d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
-	out.timeouts = d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
-	out.nacks = d.CounterSum("core", "mcast_nacks_sent") + d.CounterSum("gm", "nacks_sent")
+	res.Violations = t.check(d, &res)
+	res.Drops = d.CounterSum("net", "dropped")
+	res.Dups = d.CounterSum("net", "duplicated")
+	res.PausedDrops = d.CounterSum("lanai", "rx_paused_drops")
+	res.RxNoBuffer = d.CounterSum("lanai", "rx_nobuffer")
+	res.Retransmits = d.CounterSum("coll", "retransmits") +
+		d.CounterSum("core", "retransmits") + d.CounterSum("gm", "retransmits")
+	res.Timeouts = d.CounterSum("core", "timeouts") + d.CounterSum("gm", "timeouts")
+	res.Nacks = d.CounterSum("core", "mcast_nacks_sent") + d.CounterSum("gm", "nacks_sent")
+	res.CollDups = d.CounterSum("coll", "duplicates")
+	res.StaleEpochDrops = d.CounterSum("core", "stale_epoch_drops")
+	res.FutureDrops = d.CounterSum("core", "future_epoch_drops")
+	res.AckedAsDropped = d.CounterSum("core", "acked_as_dropped")
 	if inj != nil {
-		out.rules = inj.RuleHits()
+		res.Rules = inj.RuleHits()
 	}
+	return res
+}
 
-	c.Kill()
-	return out
+// ScenarioSeed mixes a campaign seed with an FNV-1a hash of a name, the
+// derivation every chaos run uses to give each scenario (and the churn
+// plan) an independent but reproducible random stream. Exported for the
+// schedule explorer, which derives its fault seeds the same way.
+func ScenarioSeed(seed int64, name string) int64 {
+	h := uint64(1469598103934665603)
+	for i := 0; i < len(name); i++ {
+		h ^= uint64(name[i])
+		h *= 1099511628211
+	}
+	return seed ^ int64(h&0x7fffffffffffffff)
+}
+
+// checkRun evaluates the invariant set every campaign shares, in report
+// order: quiescence by the deadline, NIC and port resource return on
+// ports, the campaign's own drained-state violations, fabric packet
+// conservation, then the campaign's accepted-packet census. d must be the
+// run's metrics delta.
+func checkRun(c *cluster.Cluster, ccfg *cluster.Config, ports []*gm.Port, d metrics.Snapshot, deadline sim.Time, state, census []string) []string {
+	v := checkQuiescence(c, deadline)
+	v = append(v, checkResources(c, ports, ccfg)...)
+	v = append(v, state...)
+	injected := d.CounterSum("net", "injected")
+	duplicated := d.CounterSum("net", "duplicated")
+	delivered := d.CounterSum("net", "delivered")
+	dropped := d.CounterSum("net", "dropped")
+	if injected+duplicated != delivered+dropped {
+		v = append(v, fmt.Sprintf(
+			"fabric accounting broken: injected %d + duplicated %d != delivered %d + dropped %d",
+			injected, duplicated, delivered, dropped))
+	}
+	return append(v, census...)
 }
 
 // checkQuiescence verifies the run fully drained before the deadline: no
 // process still blocked (a starved receiver means a lost message; a stuck
 // root means send tokens never came back) and no event still scheduled (an
 // armed retransmit timer past quiescence means a leaked send record).
-func checkQuiescence(c *cluster.Cluster, cfg Config) []string {
+func checkQuiescence(c *cluster.Cluster, deadline sim.Time) []string {
 	var v []string
 	if n := c.LiveProcs(); n != 0 {
 		v = append(v, fmt.Sprintf(
-			"did not recover by deadline %v: %d processes still blocked", cfg.Deadline, n))
+			"did not recover by deadline %v: %d processes still blocked", deadline, n))
 	}
 	if n := c.Pending(); n != 0 {
 		v = append(v, fmt.Sprintf(
@@ -422,30 +499,6 @@ func checkResources(c *cluster.Cluster, ports []*gm.Port, ccfg *cluster.Config) 
 		if r := ports[i].PendingRecvs(); r != 0 {
 			v = append(v, fmt.Sprintf("node %d: %d extra deliveries queued (duplicate accepted?)", i, r))
 		}
-	}
-	return v
-}
-
-// checkAccounting verifies the metrics agree with the workload: the fabric
-// conserved packets (every injected or duplicated packet was either
-// delivered or dropped) and the receivers accepted exactly the workload's
-// packet count — no more (duplicates accepted), no less (loss papered
-// over).
-func checkAccounting(d metrics.Snapshot, cfg Config, ccfg *cluster.Config) []string {
-	var v []string
-	injected := d.CounterSum("net", "injected")
-	duplicated := d.CounterSum("net", "duplicated")
-	delivered := d.CounterSum("net", "delivered")
-	dropped := d.CounterSum("net", "dropped")
-	if injected+duplicated != delivered+dropped {
-		v = append(v, fmt.Sprintf(
-			"fabric accounting broken: injected %d + duplicated %d != delivered %d + dropped %d",
-			injected, duplicated, delivered, dropped))
-	}
-	want := uint64(cfg.Nodes-1) * uint64(cfg.Msgs) * uint64(ccfg.GM.Packets(cfg.Size))
-	if got := d.CounterSum("core", "mcast_received"); got != want {
-		v = append(v, fmt.Sprintf(
-			"receivers accepted %d multicast packets, workload requires exactly %d", got, want))
 	}
 	return v
 }

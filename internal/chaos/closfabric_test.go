@@ -18,10 +18,10 @@ func closConfig() chaos.Config {
 // returned, no leaked timers, balanced packet accounting, now over ECMP
 // paths and PFC backpressure instead of the Myrinet crossbar.
 func TestLibraryScenariosPassOnClos(t *testing.T) {
-	for _, sc := range chaos.Library() {
+	for _, sc := range chaos.Library(chaos.Multicast) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, closConfig())
+			res := chaos.Run(sc, closConfig())
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}
@@ -42,10 +42,10 @@ func TestLibraryScenariosPassOnMultiLeafClos(t *testing.T) {
 	cfg := closConfig()
 	cfg.Nodes = 40
 	cfg.Msgs = 6
-	for _, sc := range chaos.Library() {
+	for _, sc := range chaos.Library(chaos.Multicast) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunScenario(sc, cfg)
+			res := chaos.Run(sc, cfg)
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}
@@ -61,10 +61,10 @@ func TestLibraryScenariosPassOnMultiLeafClos(t *testing.T) {
 // stream, and the membership invariant — epoch-E payloads reach exactly
 // E's members, exactly once, in order — must hold on the new fabric.
 func TestMemberLibraryPassesOnClos(t *testing.T) {
-	for _, sc := range chaos.MemberLibrary() {
+	for _, sc := range chaos.Library(chaos.Membership) {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunMemberScenario(sc, chaos.MemberConfig{
+			res := chaos.Run(sc, chaos.Config{
 				Nodes: 8, Msgs: 12, Size: 4096, Transitions: 6, Seed: 7,
 				Fabric: clos.Default(),
 			})
@@ -84,8 +84,8 @@ func TestMemberLibraryPassesOnClos(t *testing.T) {
 // root's switch by label and would silently miss if it still assumed the
 // Myrinet crossbar's name.
 func TestScenariosActuallyInjectOnClos(t *testing.T) {
-	for _, sc := range chaos.Library() {
-		res := chaos.RunScenario(sc, closConfig())
+	for _, sc := range chaos.Library(chaos.Multicast) {
+		res := chaos.Run(sc, closConfig())
 		var ruleHits uint64
 		for _, r := range res.Rules {
 			ruleHits += r.Hits
@@ -100,16 +100,16 @@ func TestScenariosActuallyInjectOnClos(t *testing.T) {
 // backend: the most stochastic scenario, run twice at the same seed on
 // Clos, must produce identical results down to every counter.
 func TestClosCampaignDeterminism(t *testing.T) {
-	sc, ok := chaos.Find("burst-loss")
+	sc, ok := chaos.Find(chaos.Multicast, "burst-loss")
 	if !ok {
 		t.Fatal("burst-loss scenario missing from library")
 	}
-	a := chaos.RunScenario(sc, closConfig())
-	b := chaos.RunScenario(sc, closConfig())
+	a := chaos.Run(sc, closConfig())
+	b := chaos.Run(sc, closConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed on clos, different results:\n%+v\nvs\n%+v", a, b)
 	}
-	myr := chaos.RunScenario(sc, testConfig())
+	myr := chaos.Run(sc, testConfig())
 	if a.FaultFinish == myr.FaultFinish && a.Drops == myr.Drops {
 		t.Fatalf("clos and myrinet campaigns identical (finish %v, %d drops) — Fabric config ignored",
 			a.FaultFinish, a.Drops)

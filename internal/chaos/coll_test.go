@@ -7,8 +7,8 @@ import (
 	"repro/internal/chaos"
 )
 
-func collTestConfig() chaos.CollConfig {
-	return chaos.CollConfig{Nodes: 8, Rounds: 4, Veclen: 4, Seed: 7}
+func collTestConfig() chaos.Config {
+	return chaos.Config{Nodes: 8, Rounds: 4, Veclen: 4, Seed: 7}
 }
 
 // TestCollLibraryScenariosPass runs every collective scenario through the
@@ -16,14 +16,14 @@ func collTestConfig() chaos.CollConfig {
 // node every round, quiescence, no leaked collective records or timers,
 // all NIC resources returned, balanced fabric accounting.
 func TestCollLibraryScenariosPass(t *testing.T) {
-	lib := chaos.CollLibrary()
+	lib := chaos.Library(chaos.Collective)
 	if len(lib) < 5 {
 		t.Fatalf("collective scenario library has %d scenarios, want at least 5", len(lib))
 	}
 	for _, sc := range lib {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunCollScenario(sc, collTestConfig())
+			res := chaos.Run(sc, collTestConfig())
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}
@@ -37,8 +37,8 @@ func TestCollLibraryScenariosPass(t *testing.T) {
 // TestCollScenariosActuallyInject guards against a scenario whose fault
 // window silently misses the collective traffic.
 func TestCollScenariosActuallyInject(t *testing.T) {
-	for _, sc := range chaos.CollLibrary() {
-		res := chaos.RunCollScenario(sc, collTestConfig())
+	for _, sc := range chaos.Library(chaos.Collective) {
+		res := chaos.Run(sc, collTestConfig())
 		var ruleHits uint64
 		for _, r := range res.Rules {
 			ruleHits += r.Hits
@@ -54,11 +54,11 @@ func TestCollScenariosActuallyInject(t *testing.T) {
 // stop-and-wait retransmissions, and the dup storm must be absorbed by
 // the engine's duplicate rejection.
 func TestCollRecoveryExercised(t *testing.T) {
-	sc, ok := chaos.FindColl("coll-barrier-burst-loss")
+	sc, ok := chaos.Find(chaos.Collective, "coll-barrier-burst-loss")
 	if !ok {
 		t.Fatal("coll-barrier-burst-loss missing from library")
 	}
-	res := chaos.RunCollScenario(sc, collTestConfig())
+	res := chaos.Run(sc, collTestConfig())
 	if !res.Pass {
 		t.Fatalf("coll-barrier-burst-loss failed: %v", res.Violations)
 	}
@@ -69,11 +69,11 @@ func TestCollRecoveryExercised(t *testing.T) {
 		t.Fatal("coll-barrier-burst-loss recovered without retransmits — fault never bit")
 	}
 
-	sc, ok = chaos.FindColl("coll-reduce-dup-storm")
+	sc, ok = chaos.Find(chaos.Collective, "coll-reduce-dup-storm")
 	if !ok {
 		t.Fatal("coll-reduce-dup-storm missing from library")
 	}
-	res = chaos.RunCollScenario(sc, collTestConfig())
+	res = chaos.Run(sc, collTestConfig())
 	if !res.Pass {
 		t.Fatalf("coll-reduce-dup-storm failed: %v", res.Violations)
 	}
@@ -89,18 +89,18 @@ func TestCollRecoveryExercised(t *testing.T) {
 // scenario twice with the same seed and requires identical results, and
 // once more with another seed to show the seed steers the fault stream.
 func TestCollScenarioDeterminism(t *testing.T) {
-	sc, ok := chaos.FindColl("coll-bursty-links")
+	sc, ok := chaos.Find(chaos.Collective, "coll-bursty-links")
 	if !ok {
 		t.Fatal("coll-bursty-links missing from library")
 	}
-	a := chaos.RunCollScenario(sc, collTestConfig())
-	b := chaos.RunCollScenario(sc, collTestConfig())
+	a := chaos.Run(sc, collTestConfig())
+	b := chaos.Run(sc, collTestConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", a, b)
 	}
 	cfg := collTestConfig()
 	cfg.Seed = 9
-	c := chaos.RunCollScenario(sc, cfg)
+	c := chaos.Run(sc, cfg)
 	if c.Drops == a.Drops && c.FaultFinish == a.FaultFinish {
 		t.Fatalf("different seeds produced identical drop count %d and finish %v — seed ignored",
 			a.Drops, a.FaultFinish)
@@ -110,7 +110,7 @@ func TestCollScenarioDeterminism(t *testing.T) {
 // TestCollBaselineCleanRun pins the fault-free path: a nil Inject must
 // pass with zero fault traffic and zero recovery latency.
 func TestCollBaselineCleanRun(t *testing.T) {
-	res := chaos.RunCollScenario(chaos.CollScenario{Name: "baseline"}, collTestConfig())
+	res := chaos.Run(chaos.Scenario{Name: "baseline", Campaign: chaos.Collective}, collTestConfig())
 	if !res.Pass {
 		t.Fatalf("baseline failed: %v", res.Violations)
 	}
@@ -128,14 +128,14 @@ func TestCollBaselineCleanRun(t *testing.T) {
 // the serial run — the campaign's reproducibility contract extends to
 // the parallel engine.
 func TestCollShardedStatelessScenario(t *testing.T) {
-	sc, ok := chaos.FindColl("coll-barrier-burst-loss")
+	sc, ok := chaos.Find(chaos.Collective, "coll-barrier-burst-loss")
 	if !ok {
 		t.Fatal("coll-barrier-burst-loss missing from library")
 	}
-	serial := chaos.RunCollScenario(sc, collTestConfig())
+	serial := chaos.Run(sc, collTestConfig())
 	cfg := collTestConfig()
 	cfg.Shards = 2
-	sharded := chaos.RunCollScenario(sc, cfg)
+	sharded := chaos.Run(sc, cfg)
 	if !sharded.Pass {
 		t.Fatalf("sharded run failed: %v", sharded.Violations)
 	}

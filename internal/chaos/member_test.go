@@ -8,8 +8,8 @@ import (
 	"repro/internal/sim"
 )
 
-func memberConfig() chaos.MemberConfig {
-	return chaos.MemberConfig{Nodes: 8, Msgs: 16, Size: 4096, Transitions: 10, Seed: 7}
+func memberConfig() chaos.Config {
+	return chaos.Config{Nodes: 8, Msgs: 16, Size: 4096, Transitions: 10, Seed: 7}
 }
 
 // Every membership scenario must satisfy the membership invariant (each
@@ -18,14 +18,14 @@ func memberConfig() chaos.MemberConfig {
 // including churn-under-loss, the ISSUE's required Gilbert–Elliott run
 // with at least 8 transitions.
 func TestMemberLibraryScenariosPass(t *testing.T) {
-	lib := chaos.MemberLibrary()
+	lib := chaos.Library(chaos.Membership)
 	if len(lib) < 4 {
 		t.Fatalf("membership scenario library has %d scenarios, want at least 4", len(lib))
 	}
 	for _, sc := range lib {
 		sc := sc
 		t.Run(sc.Name, func(t *testing.T) {
-			res := chaos.RunMemberScenario(sc, memberConfig())
+			res := chaos.Run(sc, memberConfig())
 			for _, v := range res.Violations {
 				t.Errorf("violation: %s", v)
 			}
@@ -48,11 +48,11 @@ func TestMemberScenariosActuallyInject(t *testing.T) {
 	if cfg.Transitions < 8 {
 		t.Fatalf("campaign config schedules %d transitions, ISSUE floor is 8", cfg.Transitions)
 	}
-	for _, sc := range chaos.MemberLibrary() {
+	for _, sc := range chaos.Library(chaos.Membership) {
 		if sc.Inject == nil {
 			continue
 		}
-		res := chaos.RunMemberScenario(sc, cfg)
+		res := chaos.Run(sc, cfg)
 		var ruleHits uint64
 		for _, r := range res.Rules {
 			ruleHits += r.Hits
@@ -75,11 +75,11 @@ func TestMemberScenariosActuallyInject(t *testing.T) {
 // outlasted the deadline still "passed"). A faulted run that truly hits
 // a 1ms outage cannot finish before the NIC resumes.
 func TestCoordinatorOutageOverlapsRun(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-coordinator-outage")
+	sc, ok := chaos.Find(chaos.Membership, "churn-coordinator-outage")
 	if !ok {
 		t.Fatal("churn-coordinator-outage missing from membership library")
 	}
-	res := chaos.RunMemberScenario(sc, memberConfig())
+	res := chaos.Run(sc, memberConfig())
 	if !res.Pass {
 		t.Fatalf("scenario failed: %v", res.Violations)
 	}
@@ -97,18 +97,18 @@ func TestCoordinatorOutageOverlapsRun(t *testing.T) {
 // Same seed, same verdict — the membership campaigns must be exactly
 // reproducible, faults and all.
 func TestMemberScenarioDeterminism(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-under-loss")
+	sc, ok := chaos.Find(chaos.Membership, "churn-under-loss")
 	if !ok {
 		t.Fatal("churn-under-loss missing from membership library")
 	}
-	a := chaos.RunMemberScenario(sc, memberConfig())
-	b := chaos.RunMemberScenario(sc, memberConfig())
+	a := chaos.Run(sc, memberConfig())
+	b := chaos.Run(sc, memberConfig())
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("same seed, different results:\n%+v\nvs\n%+v", a, b)
 	}
 	cfg := memberConfig()
 	cfg.Seed = 8
-	c := chaos.RunMemberScenario(sc, cfg)
+	c := chaos.Run(sc, cfg)
 	if c.Drops == a.Drops && c.FaultFinish == a.FaultFinish {
 		t.Fatalf("different seeds produced identical drops %d and finish %v — seed ignored",
 			a.Drops, a.FaultFinish)
@@ -124,7 +124,7 @@ func TestMemberScenarioDeterminism(t *testing.T) {
 // least once across them (the stale-epoch and acked-as-dropped rules
 // are pinned directly by internal/core's epoch tests).
 func TestMemberEpochFiltersEngage(t *testing.T) {
-	sc, ok := chaos.FindMember("churn-under-loss")
+	sc, ok := chaos.Find(chaos.Membership, "churn-under-loss")
 	if !ok {
 		t.Fatal("churn-under-loss missing from membership library")
 	}
@@ -132,7 +132,7 @@ func TestMemberEpochFiltersEngage(t *testing.T) {
 	for seed := int64(1); seed <= 4 && filtered == 0; seed++ {
 		cfg := memberConfig()
 		cfg.Seed = seed
-		res := chaos.RunMemberScenario(sc, cfg)
+		res := chaos.Run(sc, cfg)
 		if !res.Pass {
 			t.Fatalf("seed %d: churn-under-loss failed: %v", seed, res.Violations)
 		}

@@ -1,24 +1,28 @@
 package chaos
 
-// The scenario library. Fault windows are fractions of the fault-free
-// baseline's measured span (Fault.At): the workload starts streaming at
-// t=0, so At(0.3)..At(1.5) always brackets live traffic and the early
-// recovery tail, whether a run takes a millisecond on the Myrinet fabric
-// or a fraction of that on a Clos backend. All windows close long before
-// the run deadline, so a correct protocol always has room to recover; a
-// run that still misses the deadline has a recovery bug, not a tight
-// schedule.
+import (
+	"repro/internal/gm"
+	"repro/internal/sim"
+)
 
-// Library returns the named scenario set, in fixed order. Campaigns run
-// all of them unless filtered.
-func Library() []Scenario {
+// The scenario libraries, one per campaign. Fault windows are fractions
+// of the fault-free baseline's measured span (Fault.At): the workload
+// starts at t=0, so At(0.3)..At(1.5) always brackets live traffic and the
+// early recovery tail, whether a run takes a millisecond on the Myrinet
+// fabric or a fraction of that on a Clos backend. All windows close long
+// before the run deadline, so a correct protocol always has room to
+// recover; a run that still misses the deadline has a recovery bug, not
+// a tight schedule.
+
+// multicastLibrary returns the multicast scenario set.
+func multicastLibrary() []Scenario {
 	return []Scenario{
 		{
 			Name: "root-link-outage",
 			Desc: "root's host link dark through most of the stream; every packet and ack in transit dies",
 			Inject: func(f *Fault) {
 				f.Inj.DropWindow("root-link", f.At(0.3), f.At(1.3),
-					MatchHostLink(f.Tree.Root))
+					MatchHostLink(f.Root))
 			},
 		},
 		{
@@ -80,7 +84,7 @@ func Library() []Scenario {
 			Name: "root-nic-pause",
 			Desc: "the root NIC goes deaf mid-stream; every ack in flight is discarded",
 			Inject: func(f *Fault) {
-				f.Inj.PauseNIC(f.Cluster.Nodes[f.Tree.Root].HW, f.At(0.3), f.At(1.2))
+				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, f.At(0.3), f.At(1.2))
 			},
 		},
 		{
@@ -104,12 +108,102 @@ func Library() []Scenario {
 	}
 }
 
-// Find returns the library scenario with the given name.
-func Find(name string) (Scenario, bool) {
-	for _, sc := range Library() {
-		if sc.Name == name {
-			return sc, true
-		}
+// collLibrary returns the collective scenario set.
+func collLibrary() []Scenario {
+	return []Scenario{
+		{
+			Name: "coll-barrier-burst-loss",
+			Desc: "every barrier round frame dropped for the first half of live traffic; the shared stop-and-wait timer must carry both barrier algorithms through",
+			Inject: func(f *Fault) {
+				f.Inj.DropWindow("barrier-burst", f.At(0.05), f.At(0.5),
+					MatchKinds(gm.KindBarrier))
+			},
+		},
+		{
+			Name: "coll-reduce-dup-storm",
+			Desc: "every 2nd reduce frame and reduce ack duplicated all run; the contribution bitsets and done-set must reject every copy during the combine",
+			Inject: func(f *Fault) {
+				f.Inj.Duplicate("reduce-dup", 0, 0, 2,
+					MatchKinds(gm.KindReduce, gm.KindReduceAck))
+			},
+		},
+		{
+			Name: "coll-gather-burst-loss",
+			Desc: "allgather chunk and ring hop frames dropped through the middle of the run; chunked batch transfers must resume where the ack left off",
+			Inject: func(f *Fault) {
+				f.Inj.DropWindow("gather-burst", f.At(0.2), f.At(0.7),
+					MatchKinds(gm.KindGather, gm.KindRing))
+			},
+		},
+		{
+			Name: "coll-ack-loss",
+			Desc: "collective acks of every class dropped early in the run; retransmitted rounds, vectors and chunks must be re-acked and deduplicated",
+			Inject: func(f *Fault) {
+				f.Inj.DropWindow("ack-loss", f.At(0.05), f.At(0.6), MatchCollAcks)
+			},
+		},
+		{
+			Name: "coll-root-pause",
+			Desc: "the tree root's NIC goes deaf mid-run; contributions queued at the children must survive on stop-and-wait until the firmware returns",
+			Inject: func(f *Fault) {
+				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, f.At(0.15), f.At(0.45))
+			},
+		},
+		{
+			Name: "coll-bursty-links",
+			Desc: "Gilbert–Elliott bursty loss over collective data frames on all links, all run",
+			Inject: func(f *Fault) {
+				f.Inj.GilbertElliott("ge-coll", 0.02, 0.25, 0.001, 0.5, MatchCollData)
+			},
+		},
+		{
+			Name: "coll-dup-storm",
+			Desc: "every 3rd packet of any kind duplicated all run; collective and multicast dedup must agree that nothing is delivered twice",
+			Inject: func(f *Fault) {
+				f.Inj.Duplicate("dup3", 0, 0, 3, MatchAll)
+			},
+		},
 	}
-	return Scenario{}, false
+}
+
+// memberLibrary returns the membership scenario set. The group's tree
+// changes every epoch, so there is no stable tree to aim at (Fault.Tree
+// is nil) — faults target nodes, links, or the whole fabric.
+func memberLibrary() []Scenario {
+	return []Scenario{
+		{
+			Name: "churn-clean",
+			Desc: "fault-free churn: the two-phase epoch roll alone must not disturb delivery",
+		},
+		{
+			Name: "churn-under-loss",
+			Desc: "Gilbert–Elliott bursty loss on all links while the group churns",
+			Inject: func(f *Fault) {
+				f.Inj.GilbertElliott("ge-all", 0.02, 0.25, 0.001, 0.5, MatchAll)
+			},
+		},
+		{
+			Name:     "churn-under-loss-nacks",
+			Desc:     "same bursty channel with nack fast recovery and adaptive RTO",
+			Nacks:    true,
+			Adaptive: true,
+			Inject: func(f *Fault) {
+				f.Inj.GilbertElliott("ge-all", 0.02, 0.25, 0.001, 0.5, MatchAll)
+			},
+		},
+		{
+			Name: "churn-coordinator-outage",
+			Desc: "the coordinator's NIC goes deaf for 700µs mid-churn; requests and phase replies must survive on GM's reliable unicast",
+			Inject: func(f *Fault) {
+				f.Inj.PauseNIC(f.Cluster.Nodes[f.Root].HW, 300*sim.Microsecond, sim.Millisecond)
+			},
+		},
+		{
+			Name: "churn-dup-storm",
+			Desc: "every 3rd packet duplicated all run; stale and duplicate epoch traffic must be rejected, never delivered",
+			Inject: func(f *Fault) {
+				f.Inj.Duplicate("dup3", 0, 0, 3, MatchAll)
+			},
+		},
+	}
 }

@@ -91,18 +91,10 @@ type Outcome struct {
 }
 
 // plan regenerates cfg's churn plan with sched's shifts applied. The base
-// plan derives from the seed exactly as the chaos membership campaigns
-// derive theirs, so schedule seed s explores the same workload chaosbench
-// scripts at seed s.
+// plan is chaos.ChurnPlan, the membership campaign's own derivation, so
+// schedule seed s explores the same workload memberbench scripts at seed s.
 func (cfg Config) plan(sched Schedule) (workload.ChurnPlan, error) {
-	plan, err := workload.GenerateChurn(workload.ChurnSpec{
-		Nodes:        cfg.Nodes,
-		Transitions:  cfg.Transitions,
-		Msgs:         cfg.Msgs,
-		MeanSize:     cfg.Size,
-		MeanGap:      15 * sim.Microsecond,
-		MeanChurnGap: 60 * sim.Microsecond,
-	}, sim.NewRNG(chaos.ScenarioSeed(sched.Seed, "member-plan")))
+	plan, err := chaos.ChurnPlan(cfg.Nodes, cfg.Transitions, cfg.Msgs, cfg.Size, sched.Seed)
 	if err != nil {
 		return plan, err
 	}
@@ -189,12 +181,12 @@ func Run(cfg Config, sched Schedule) Outcome {
 		return 0
 	})
 
-	data := c.OpenPorts(chaos.MemberDataPort)
-	ctrl := c.OpenPorts(chaos.MemberCtrlPort)
+	data := c.OpenPorts(chaos.Port)
+	ctrl := c.OpenPorts(chaos.CtrlPort)
 	before := reg.Snapshot()
 	res := member.RunOn(c, member.Config{
-		DataPort: chaos.MemberDataPort,
-		CtrlPort: chaos.MemberCtrlPort,
+		DataPort: chaos.Port,
+		CtrlPort: chaos.CtrlPort,
 		Deadline: cfg.Deadline,
 	}, plan, data, ctrl)
 	diff := reg.Snapshot().Diff(before)

@@ -12,7 +12,7 @@ func chaosTestScenarios(t *testing.T) []chaos.Scenario {
 	t.Helper()
 	var out []chaos.Scenario
 	for _, name := range []string{"root-link-outage", "dup-storm"} {
-		sc, ok := chaos.Find(name)
+		sc, ok := chaos.Find(chaos.Multicast, name)
 		if !ok {
 			t.Fatalf("scenario %s missing from library", name)
 		}
@@ -36,8 +36,9 @@ func TestChaosSweepDeterministicAcrossWorkers(t *testing.T) {
 	fanned.Workers = 4
 
 	var a, b bytes.Buffer
-	WriteChaosTable(&a, "campaign", serial.ChaosSweep(scs, nodes, 6, 4096))
-	WriteChaosTable(&b, "campaign", fanned.ChaosSweep(scs, nodes, 6, 4096))
+	base := chaos.Config{Msgs: 6, Size: 4096}
+	WriteChaosTable(&a, "campaign", chaos.Multicast, serial.ChaosSweep(scs, nodes, nil, base))
+	WriteChaosTable(&b, "campaign", chaos.Multicast, fanned.ChaosSweep(scs, nodes, nil, base))
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("serial and parallel sweeps diverged:\n--- serial ---\n%s--- parallel ---\n%s", a.String(), b.String())
 	}
@@ -53,7 +54,7 @@ func TestChaosSweepSharedMetrics(t *testing.T) {
 	o.Seed = 7
 	o.Workers = 4 // must be overridden to serial by the shared registry
 	o.Metrics = metrics.New()
-	results := o.ChaosSweep(chaosTestScenarios(t), []int{4}, 6, 4096)
+	results := o.ChaosSweep(chaosTestScenarios(t), []int{4}, nil, chaos.Config{Msgs: 6, Size: 4096})
 	if n := ChaosFailures(results); n != 0 {
 		t.Fatalf("%d scenarios failed under shared metrics", n)
 	}
@@ -75,11 +76,28 @@ func TestWriteChaosTableItemizesFailures(t *testing.T) {
 		Violations: []string{"node 2: lost a byte"},
 	}}
 	var buf bytes.Buffer
-	WriteChaosTable(&buf, "campaign", res)
+	WriteChaosTable(&buf, "campaign", chaos.Multicast, res)
 	out := buf.String()
 	for _, want := range []string{"FAIL", "doomed @ 4 nodes violated:", "node 2: lost a byte"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("table output missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestParseInts pins the shared list-flag parser, error text included:
+// the benches print it verbatim.
+func TestParseInts(t *testing.T) {
+	got, err := ParseInts("4, 8,16", 2, "cluster size")
+	if err != nil || len(got) != 3 || got[0] != 4 || got[1] != 8 || got[2] != 16 {
+		t.Fatalf("ParseInts = %v, %v", got, err)
+	}
+	for _, tc := range []struct{ in, want string }{
+		{"4,1", `bad cluster size "1" (want integers >= 2)`},
+		{"4,x", `bad cluster size "x" (want integers >= 2)`},
+	} {
+		if _, err := ParseInts(tc.in, 2, "cluster size"); err == nil || err.Error() != tc.want {
+			t.Errorf("ParseInts(%q) err = %v, want %q", tc.in, err, tc.want)
 		}
 	}
 }

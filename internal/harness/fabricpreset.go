@@ -2,6 +2,8 @@ package harness
 
 import (
 	"fmt"
+	"strconv"
+	"strings"
 
 	"repro/internal/clos"
 	"repro/internal/fabric"
@@ -23,3 +25,18 @@ func FabricPreset(name string) (fabric.Config, error) {
 
 // FabricNames lists the selectable backends, for usage strings.
 func FabricNames() string { return "myrinet, clos" }
+
+// ParseInts parses a comma-separated integer list flag, such as the
+// benches' -nodes, rejecting any entry below min; noun names an entry in
+// the error ("bad cluster size \"1\" (want integers >= 2)").
+func ParseInts(s string, min int, noun string) ([]int, error) {
+	var out []int
+	for _, part := range strings.Split(s, ",") {
+		n, err := strconv.Atoi(strings.TrimSpace(part))
+		if err != nil || n < min {
+			return nil, fmt.Errorf("bad %s %q (want integers >= %d)", noun, part, min)
+		}
+		out = append(out, n)
+	}
+	return out, nil
+}

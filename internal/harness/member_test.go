@@ -8,11 +8,11 @@ import (
 	"repro/internal/metrics"
 )
 
-func memberTestScenarios(t *testing.T) []chaos.MemberScenario {
+func memberTestScenarios(t *testing.T) []chaos.Scenario {
 	t.Helper()
-	var out []chaos.MemberScenario
+	var out []chaos.Scenario
 	for _, name := range []string{"churn-clean", "churn-under-loss"} {
-		sc, ok := chaos.FindMember(name)
+		sc, ok := chaos.Find(chaos.Membership, name)
 		if !ok {
 			t.Fatalf("scenario %s missing from membership library", name)
 		}
@@ -34,12 +34,13 @@ func TestMemberSweepDeterministicAcrossWorkers(t *testing.T) {
 	fanned.Workers = 4
 
 	var a, b bytes.Buffer
-	WriteMemberTable(&a, "campaign", serial.MemberSweep(scs, []int{6, 8}, []int{4, 8}, 10, 2048))
-	WriteMemberTable(&b, "campaign", fanned.MemberSweep(scs, []int{6, 8}, []int{4, 8}, 10, 2048))
+	base := chaos.Config{Msgs: 10, Size: 2048}
+	WriteChaosTable(&a, "campaign", chaos.Membership, serial.ChaosSweep(scs, []int{6, 8}, []int{4, 8}, base))
+	WriteChaosTable(&b, "campaign", chaos.Membership, fanned.ChaosSweep(scs, []int{6, 8}, []int{4, 8}, base))
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Fatalf("serial and parallel sweeps diverged:\n--- serial ---\n%s--- parallel ---\n%s", a.String(), b.String())
 	}
-	if MemberFailures(nil) != 0 {
+	if ChaosFailures(nil) != 0 {
 		t.Fatal("empty result set reported failures")
 	}
 }
@@ -51,8 +52,8 @@ func TestMemberSweepSharedMetrics(t *testing.T) {
 	o.Seed = 7
 	o.Workers = 4 // must be overridden to serial by the shared registry
 	o.Metrics = metrics.New()
-	results := o.MemberSweep(memberTestScenarios(t), []int{8}, []int{8}, 10, 2048)
-	if n := MemberFailures(results); n != 0 {
+	results := o.ChaosSweep(memberTestScenarios(t), []int{8}, []int{8}, chaos.Config{Msgs: 10, Size: 2048})
+	if n := ChaosFailures(results); n != 0 {
 		t.Fatalf("%d membership points failed under shared metrics", n)
 	}
 	s := o.Metrics.Snapshot()
@@ -66,14 +67,14 @@ func TestMemberSweepSharedMetrics(t *testing.T) {
 
 // A FAIL row must be followed by its itemized violations.
 func TestWriteMemberTableItemizesFailures(t *testing.T) {
-	res := []chaos.MemberResult{{
+	res := []chaos.Result{{
 		Scenario:    "doomed",
 		Nodes:       8,
 		Transitions: 5,
 		Violations:  []string{"node 3: delivered a payload from a departed epoch"},
 	}}
 	var buf bytes.Buffer
-	WriteMemberTable(&buf, "campaign", res)
+	WriteChaosTable(&buf, "campaign", chaos.Membership, res)
 	for _, want := range []string{"FAIL", "doomed @ 8 nodes / 5 transitions violated:", "departed epoch"} {
 		if !bytes.Contains(buf.Bytes(), []byte(want)) {
 			t.Fatalf("table output missing %q:\n%s", want, buf.String())
